@@ -11,9 +11,9 @@
  *    many deterministic pseudo-random initial states, original vs
  *    optimized (the OptMode::On stage-4 speedup, isolated from the
  *    rest of the pipeline);
- *  - translation validation wall-clock: the OptMode::Validated cost of
- *    proving each (original, optimized) pair with the solver, plus the
- *    failure count.
+ *  - translation validation wall-clock: the build-time cost of
+ *    proving each (original, optimized) pair with the solver (what the
+ *    ir_equiv_all ctest pays), plus the failure count.
  *
  * The smoke ctest run gates the optimizer contract: strictly positive
  * statement reduction over the workload, byte-identical replay outputs
@@ -224,7 +224,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(steps_optimized),
                 static_cast<unsigned long long>(replay_mismatches));
 
-    // Phase 3: translation validation (the OptMode::Validated cost).
+    // Phase 3: translation validation (the ir_equiv_all cost).
     u64 validated = 0;
     u64 proven = 0;
     u64 validation_failures = 0;

@@ -846,8 +846,6 @@ prune_mode_name(PruneMode mode)
         return "off";
       case PruneMode::On:
         return "on";
-      case PruneMode::CrossCheck:
-        return "crosscheck";
     }
     return "?";
 }

@@ -58,13 +58,12 @@ namespace pokeemu::analysis {
  *    node, seeded-rng draw, frontier-policy consultation and path
  *    condition evolve exactly as in Off — only the solver dispatch is
  *    skipped and counted in `solver_queries_avoided`.
- *  - CrossCheck: like On, but every skipped probe is also dispatched
- *    to a *side* solver (fresh instance, no memo) and must come back
- *    Unsat; a Sat verdict means an unsound fact and panics. The main
- *    solver sees exactly the On-mode query stream, so On and
- *    CrossCheck runs are byte-identical end to end.
+ *
+ * Soundness of the skipped probes is a test, not a mode: a gtest in
+ * tests/test_dataflow.cpp explores the whole instruction table both
+ * ways and requires identical paths and models.
  */
-enum class PruneMode : u8 { Off, On, CrossCheck };
+enum class PruneMode : u8 { Off, On };
 
 /** Printable mode name, e.g. "on". */
 const char *prune_mode_name(PruneMode mode);

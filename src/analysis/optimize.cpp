@@ -15,17 +15,6 @@ using ir::ExprKind;
 using ir::ExprRef;
 using ir::StmtKind;
 
-const char *
-opt_mode_name(OptMode mode)
-{
-    switch (mode) {
-      case OptMode::Off: return "off";
-      case OptMode::On: return "on";
-      case OptMode::Validated: return "validated";
-    }
-    return "?";
-}
-
 namespace {
 
 u64

@@ -50,25 +50,21 @@
 namespace pokeemu::analysis {
 
 /**
- * How consumers run optimized IR (threaded from the campaign driver
- * down through pokeemu::PipelineOptions, explore::StateExploreOptions
- * and hifi::SemanticsOptions):
+ * Whether built semantics programs are optimized (threaded from
+ * pokeemu::PipelineOptions down through hifi::SemanticsOptions):
  *
  *  - Off: every consumer interprets the original builder output.
- *  - On: concrete replay (the hifi backend) and standalone
- *    explorations run the optimized program. Stage-2 pipeline
- *    exploration always stays on the original IR so the decision
- *    tree, the seeded rng stream and the concretization choices —
- *    and therefore the generated tests — are bit-identical to Off.
- *  - Validated: like On, but every (original, optimized) pair is
- *    first proven equivalent by the translation validator (equiv.h);
- *    a counterexample quarantines the unit and replay falls back to
- *    the original program.
+ *  - On: concrete replay (the hifi backend) and the compiled handlers
+ *    run the optimized program. Stage-2 pipeline exploration always
+ *    stays on the original IR so the decision tree, the seeded rng
+ *    stream and the concretization choices — and therefore the
+ *    generated tests — are bit-identical to Off.
+ *
+ * The optimizer is proven at build time, not per run: the ir_equiv_all
+ * ctest validates every canonical row's summary build and
+ * semgen_crosscheck_all validates every compiled unit (equiv.h).
  */
-enum class OptMode : u8 { Off, On, Validated };
-
-/** Printable mode name, e.g. "validated". */
-const char *opt_mode_name(OptMode mode);
+enum class OptMode : u8 { Off, On };
 
 /** Knobs for one optimization run. */
 struct OptConfig

@@ -21,7 +21,6 @@ explore_instruction(const arch::DecodedInsn &insn, const StateSpec &spec,
     sem_options.hifi_far_fetch_order = options.hifi_far_fetch_order;
     sem_options.descriptor_summary =
         options.use_descriptor_summary ? summary : nullptr;
-    sem_options.opt = options.opt;
     const ir::Program semantics =
         hifi::build_semantics(insn, sem_options);
     StateExploreResult result = explore_program(semantics, spec,
@@ -41,7 +40,6 @@ explore_sequence(const std::vector<arch::DecodedInsn> &insns,
     sem_options.hifi_far_fetch_order = options.hifi_far_fetch_order;
     sem_options.descriptor_summary =
         options.use_descriptor_summary ? summary : nullptr;
-    sem_options.opt = options.opt;
     const ir::Program semantics =
         hifi::build_sequence_semantics(insns, sem_options);
     return explore_program(semantics, spec, options);

@@ -61,13 +61,6 @@ struct StateExploreOptions
      *  probe does (see analysis::PruneMode). Explored path sets and
      *  schedules are identical across modes. */
     analysis::PruneMode prune = analysis::PruneMode::On;
-    /** Explore the optimized semantics program (analysis/optimize.h)
-     *  instead of the builder original. Validated behaves like On at
-     *  this level. Changes the decision tree, the seeded rng stream
-     *  and the concretization choices, so the pipeline's stage-2
-     *  exploration keeps this Off to preserve test identity; it is
-     *  for standalone explorations (benches, tools, ablations). */
-    analysis::OptMode opt = analysis::OptMode::Off;
 };
 
 /** One explored path's test state. */

@@ -1,30 +1,18 @@
 /**
  * @file
  * Compiled-semantics unit construction and staleness hashing: the
- * parts shared by the generator (tools/semgen) and the runtime. Kept
- * free of references to compiled_table() so semgen itself links
- * against the core library without a generated table; dispatch lives
- * in compiled_dispatch.cpp.
+ * parts shared by the generator (tools/semgen) and the tools and tests
+ * that check its output. Kept free of references to compiled_table()
+ * so semgen itself links against the core library without a generated
+ * table; dispatch lives in compiled_dispatch.cpp.
  */
 #include "hifi/compiled.h"
 
-#include <atomic>
 #include <stdexcept>
 
 #include "ir/printer.h"
 
 namespace pokeemu::hifi {
-
-const char *
-compiled_exec_name(CompiledExec mode)
-{
-    switch (mode) {
-      case CompiledExec::Off: return "off";
-      case CompiledExec::On: return "on";
-      case CompiledExec::CrossCheck: return "crosscheck";
-    }
-    return "?";
-}
 
 bool
 compiled_params_ok(arch::Op op)
@@ -161,13 +149,6 @@ hash_u64(u64 &h, u64 v)
     hash_bytes(h, &v, sizeof v);
 }
 
-std::atomic<u64> g_hash_override{0};
-std::atomic<bool> g_force_mismatch{false};
-
-} // namespace
-
-namespace {
-
 u64
 compute_expected_hash()
 {
@@ -198,31 +179,10 @@ compute_expected_hash()
 u64
 compiled_expected_hash()
 {
-    const u64 override_hash = g_hash_override.load();
-    if (override_hash != 0)
-        return override_hash;
     // Deriving the hash rebuilds and prints every unit's program, so
-    // the real value is computed once per process.
-    static const u64 real = compute_expected_hash();
-    return real;
-}
-
-void
-compiled_test_override_hash(u64 hash)
-{
-    g_hash_override.store(hash);
-}
-
-void
-compiled_test_force_mismatch(bool on)
-{
-    g_force_mismatch.store(on);
-}
-
-bool
-compiled_test_mismatch_forced()
-{
-    return g_force_mismatch.load();
+    // it is computed once per process.
+    static const u64 hash = compute_expected_hash();
+    return hash;
 }
 
 // ---------------------------------------------------------------------

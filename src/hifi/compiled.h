@@ -18,10 +18,12 @@
  * (compiled_params_ok() == false) compile specialized and only match
  * their canonical values.
  *
- * Staleness guard: semgen stamps compiled_expected_hash() — a hash of
- * every unit's printed program and shape — into the table; the
- * dispatcher re-derives it at first use and refuses a mismatching
- * (stale or corrupt) table with FaultClass::CodegenMismatch.
+ * Staleness stamp: semgen stamps compiled_expected_hash() — a hash of
+ * every unit's printed program and shape — into the table. The build
+ * regenerates the table whenever semgen relinks, and the ctests that
+ * compare the stamp (semgen_crosscheck_all, timing_crosscheck_all,
+ * CompiledTable.StampMatchesExpectedHash) catch a stale or corrupt
+ * table; replay itself never re-derives the hash.
  */
 #ifndef POKEEMU_HIFI_COMPILED_H
 #define POKEEMU_HIFI_COMPILED_H
@@ -93,8 +95,8 @@ const CompiledTable &compiled_table();
  *  parallel to CompiledTable::entries: costs[i] is the cost semgen
  *  derived from the exact program it compiled into entries[i]. The
  *  triples are folded into compiled_expected_hash(), so a cost table
- *  that disagrees with fresh derivation is refused as stale together
- *  with the handlers. */
+ *  that disagrees with fresh derivation shows as stale together with
+ *  the handlers. */
 struct CompiledCostTable
 {
     const timing::UnitCost *costs;
@@ -148,23 +150,13 @@ std::vector<u8> variant_encoding(int table_index);
  *  the memform variant when one exists). */
 std::vector<CompiledUnit> build_compiled_units();
 
-/** Process-wide lazily-built units (shared by the CrossCheck
- *  interpreter reference and the staleness guard). */
+/** Process-wide lazily-built units (shared by the checking tools and
+ *  tests). */
 const std::vector<CompiledUnit> &compiled_units();
 
 /** Hash over every unit's shape + printed program; must equal the
  *  stamp in compiled_table(). */
 u64 compiled_expected_hash();
-
-/// @name Test hooks (tests/test_compiled.cpp).
-/// @{
-/** Override the expected hash (0 = disabled) so the staleness guard
- *  can be exercised without corrupting a real table. */
-void compiled_test_override_hash(u64 hash);
-/** Force CrossCheck to report divergence on every compiled step. */
-void compiled_test_force_mismatch(bool on);
-bool compiled_test_mismatch_forced();
-/// @}
 
 /**
  * A self-contained ConcreteMemory for differential testing and

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "arch/paging.h"
-#include "support/fault.h"
 
 namespace pokeemu::hifi {
 
@@ -130,69 +129,22 @@ HiFiEmulator::record_exception(u8 vector, u32 error, bool has_error,
 bool
 HiFiEmulator::step_compiled(const arch::DecodedInsn &insn)
 {
-    if (!compiled_checked_) {
-        if (compiled_table().semantics_hash != compiled_expected_hash()) {
-            throw support::FaultError(
-                support::FaultClass::CodegenMismatch,
-                "compiled semantics table is stale (hash mismatch); "
-                "rebuild to re-run semgen");
-        }
-        compiled_checked_ = true;
-    }
     const CompiledEntry *entry = compiled_find(insn);
     if (entry == nullptr) {
         ++compiled_misses_;
         return false;
     }
     // Generic handlers read immediate/displacement values from the
-    // param block (scratch space the decoder does not use); write them
-    // before either execution below so both see the same inputs.
+    // param block (scratch space the decoder does not use).
     if (entry->shape.params_ok) {
         store(param_block::kImm, 4, insn.imm);
         store(param_block::kDisp, 4, insn.disp);
     }
-
-    ir::RunResult result;
-    if (options_.compiled == CompiledExec::CrossCheck) {
-        // Reference run: interpret the exact program the handler was
-        // generated from, then rewind and let the handler replay it.
-        const CompiledTable &table = compiled_table();
-        const CompiledUnit &unit =
-            compiled_units()[static_cast<std::size_t>(entry -
-                                                      table.entries)];
-        const auto state0 = state_;
-        const auto scratch0 = scratch_;
-        const std::vector<u8> ram0 = ram_;
-        const ir::RunResult ref = ir::run_concrete(unit.program, *this);
-        const auto state1 = state_;
-        const auto scratch1 = scratch_;
-        std::vector<u8> ram1 = std::move(ram_);
-        state_ = state0;
-        scratch_ = scratch0;
-        ram_ = ram0;
-
-        result = entry->handler(*this, 1u << 22);
-        const bool diverged = compiled_test_mismatch_forced() ||
-            result.status != ref.status ||
-            result.halt_code != ref.halt_code ||
-            result.steps != ref.steps || state_ != state1 ||
-            scratch_ != scratch1 || ram_ != ram1;
-        if (diverged) {
-            throw support::FaultError(
-                support::FaultClass::CodegenMismatch,
-                std::string("compiled handler diverged from the IR "
-                            "interpreter on ") +
-                    insn.desc->mnemonic);
-        }
-    } else {
-        result = entry->handler(*this, 1u << 22);
-    }
+    const ir::RunResult result = entry->handler(*this, 1u << 22);
     if (result.status != ir::RunStatus::Halted)
         panic("hifi compiled semantics did not halt");
     ++compiled_hits_;
     ++insn_count_;
-    // Charged exactly once per retirement: the CrossCheck reference
-    // interpretation above is bookkeeping, not a second retirement.
     charge(insn, result.halt_code);
     return true;
 }
@@ -283,7 +235,7 @@ HiFiEmulator::step()
     // under compiled_build_options(); only dispatch when this
     // emulator's options agree on the behavioral knobs, and fall back
     // to the interpreter on a table miss. ---
-    if (options_.compiled != CompiledExec::Off &&
+    if (options_.compiled == CompiledExec::On &&
         options_.hifi_far_fetch_order &&
         options_.descriptor_summary == nullptr &&
         step_compiled(insn)) {

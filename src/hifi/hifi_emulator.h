@@ -82,11 +82,8 @@ class HiFiEmulator : public ir::ConcreteMemory
     u8 *resolve(u32 addr);
 
     /** Dispatch @p insn to its generated handler if one matches.
-     *  Returns true when the instruction was fully executed (On) or
-     *  executed and cross-checked (CrossCheck); false on a table miss
-     *  (caller falls back to the interpreter). Throws
-     *  FaultError(CodegenMismatch) on a stale table or a CrossCheck
-     *  divergence. */
+     *  Returns true when the instruction was executed; false on a
+     *  table miss (caller falls back to the interpreter). */
     bool step_compiled(const arch::DecodedInsn &insn);
 
     /// @name Cycle charging (mirrors DirectCpu::charge*: identical
@@ -108,8 +105,6 @@ class HiFiEmulator : public ir::ConcreteMemory
     u64 cycles_ = 0;
     u64 compiled_hits_ = 0;
     u64 compiled_misses_ = 0;
-    /** Staleness guard ran (table hash == compiled_expected_hash()). */
-    bool compiled_checked_ = false;
 };
 
 } // namespace pokeemu::hifi

@@ -46,13 +46,10 @@ halt_exception_code(u8 vector)
 
 /**
  * How HiFiEmulator executes semantics for concrete replay
- * (hifi/compiled.h): interpret the IR, dispatch to the build-time
- * compiled handler (interpreter fallback for uncompiled encodings), or
- * run both and fault on divergence (FaultClass::CodegenMismatch).
+ * (hifi/compiled.h): interpret the IR, or dispatch to the build-time
+ * compiled handler (interpreter fallback for uncompiled encodings).
  */
-enum class CompiledExec : u8 { Off, On, CrossCheck };
-
-const char *compiled_exec_name(CompiledExec mode);
+enum class CompiledExec : u8 { Off, On };
 
 /** Options controlling semantics generation. */
 struct SemanticsOptions
@@ -71,12 +68,8 @@ struct SemanticsOptions
      */
     const symexec::Summary *descriptor_summary = nullptr;
 
-    /**
-     * Run the IR optimizer (analysis/optimize.h) over the built
-     * program. At this level Validated behaves like On — validation
-     * needs an exploration environment and happens in the pipeline
-     * (pokeemu/pipeline.h), which only threads On/Off down here.
-     */
+    /** Run the IR optimizer (analysis/optimize.h) over the built
+     *  program. */
     analysis::OptMode opt = analysis::OptMode::Off;
 
     /** Concrete-replay execution mode (used by HiFiEmulator, not by

@@ -7,8 +7,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "analysis/equiv.h"
-#include "arch/layout.h"
 #include "harness/filter.h"
 #include "support/logging.h"
 #include "timing/cost_model.h"
@@ -92,18 +90,10 @@ options_fingerprint(const PipelineOptions &options)
     fp_add(h, options.minimize);
     // The prune mode never changes results, but it decides how probes
     // split between solver_queries and solver_queries_avoided; resuming
-    // a checkpoint under a different mode would mix the two.
+    // a checkpoint under a different mode would mix the two. (The
+    // optimizer and compiled dispatch change no checkpointed value, so
+    // they stay out.)
     fp_add(h, static_cast<u64>(options.prune));
-    // The optimizer mode never changes generated tests either, but it
-    // decides whether the per-unit IR-optimizer checkpoint columns are
-    // filled; resuming under a different mode would mix full and empty
-    // columns in one file.
-    fp_add(h, static_cast<u64>(options.opt));
-    // Compiled dispatch never changes results either (CrossCheck
-    // proves it per instruction), but the modes quarantine different
-    // units under injected faults and fill the hit/miss counters
-    // differently; a checkpoint must not resume across modes.
-    fp_add(h, static_cast<u64>(options.compiled));
     // Timing changes what is measured (cycle totals, TimingDivergence
     // counts and clusters are all zero with it off), so a checkpoint
     // written under one mode must not resume under the other.
@@ -205,14 +195,6 @@ Pipeline::restore_unit(const CheckpointUnit &unit, u64 &next_test_id)
     stats_.minimize_bits_before += unit.minimize_bits_before;
     stats_.minimize_bits_after += unit.minimize_bits_after;
     stats_.generation_failures += unit.generation_failures;
-    stats_.opt_stmts_before += unit.stmts_before;
-    stats_.opt_stmts_after += unit.stmts_after;
-    if (unit.opt_validated)
-        ++stats_.opt_units_validated;
-    if (unit.opt_fallback) {
-        ++stats_.opt_validation_failures;
-        opt_fallback_.insert(unit.table_index);
-    }
     account_unit_coverage(stats_, unit);
 
     for (const CheckpointTest &saved : unit.tests) {
@@ -486,74 +468,6 @@ Pipeline::explore_and_generate()
             explored.minimize.bits_different_after;
         account_unit_coverage(stats_, cu);
 
-        // IR optimizer accounting + Validated-mode translation
-        // validation. Stage-2 exploration above ran the builder
-        // original (test identity across modes); here the unit's
-        // semantics are optimized once for the reduction stats, and
-        // Validated proves the pair equivalent before stage 4 replays
-        // tests on optimized IR. A counterexample (or a fault inside
-        // the validator) is quarantined under its own stage and the
-        // unit's replay falls back to the original program.
-        if (options_.opt != analysis::OptMode::Off) {
-            t0 = std::chrono::steady_clock::now();
-            hifi::SemanticsOptions sem_options;
-            sem_options.descriptor_summary =
-                options_.use_descriptor_summary ? &summary_ : nullptr;
-            const ir::Program original =
-                hifi::build_semantics(insn, sem_options);
-            const analysis::OptResult opt =
-                analysis::optimize_program(original);
-            cu.stmts_before = opt.stats.stmts_before;
-            cu.stmts_after = opt.stats.stmts_after;
-            if (options_.opt == analysis::OptMode::Validated) {
-                symexec::VarPool vpool;
-                analysis::EquivOptions eq;
-                eq.max_paths = (insn.rep || insn.repne)
-                    ? std::min(xopt.max_paths, options_.max_paths_rep)
-                    : xopt.max_paths;
-                eq.max_steps =
-                    (insn.rep || insn.repne) ? 3000 : xopt.max_steps;
-                eq.seed = options_.seed;
-                eq.preconditions = spec_->preconditions(vpool);
-                eq.eflags_addr = arch::layout::kEflagsAddr;
-                eq.eflags_ignore_mask =
-                    harness::undefined_flags_mask(insn.desc->op);
-                if (budgets.any_exploration_limit()) {
-                    eq.deadline = support::Deadline::with(
-                        budgets.insn_exploration_ms,
-                        budgets.insn_exploration_steps);
-                }
-                auto vguard = support::try_run([&] {
-                    return analysis::validate_translation(
-                        original, opt.program, vpool,
-                        spec_->initial_fn(vpool), eq);
-                });
-                if (!vguard.ok()) {
-                    quarantine(Stage::Validation, unit_name,
-                               vguard.cls, vguard.message);
-                    cu.opt_fallback = true;
-                } else if (!vguard->equivalent) {
-                    quarantine(
-                        Stage::Validation, unit_name,
-                        FaultClass::Miscompile,
-                        "optimized semantics diverge; " +
-                            vguard->counterexample->to_string(vpool));
-                    cu.opt_fallback = true;
-                } else if (vguard->proven) {
-                    cu.opt_validated = true;
-                }
-            }
-            stats_.t_validation += seconds_since(t0);
-            stats_.opt_stmts_before += cu.stmts_before;
-            stats_.opt_stmts_after += cu.stmts_after;
-            if (cu.opt_validated)
-                ++stats_.opt_units_validated;
-            if (cu.opt_fallback) {
-                ++stats_.opt_validation_failures;
-                opt_fallback_.insert(index);
-            }
-        }
-
         // Stage 3: one test program per path (paper Figure 1(3)).
         // Each test's generation is its own quarantinable unit.
         t0 = std::chrono::steady_clock::now();
@@ -624,26 +538,12 @@ Pipeline::execute_and_compare()
     // dispatch misses fall back to interpretation inside the emulator.
     cfg.hifi_options.compiled = options_.compiled;
     cfg.max_insns = options_.max_insns_per_test;
-    // Cycle accounting on all three backends; the fallback runner
-    // below copies cfg, so validation-fallback units keep charging
-    // (their interpreted totals equal the compiled ones by design).
     cfg.timing = options_.timing;
     cfg.injector = injector_.enabled() ? &injector_ : nullptr;
     cfg.lofi_misbehavior = options_.lofi_misbehavior;
     cfg.watchdog_insns = res.budgets.test_watchdog_insns;
     cfg.watchdog_wall_ms = res.budgets.test_watchdog_ms;
     harness::TestRunner runner(cfg);
-    // Units whose Validated-mode check failed replay on original IR.
-    std::unique_ptr<harness::TestRunner> fallback_runner;
-    if (options_.opt != analysis::OptMode::Off &&
-        !opt_fallback_.empty()) {
-        harness::TestRunner::Config fcfg = cfg;
-        fcfg.hifi_options.opt = analysis::OptMode::Off;
-        // Handlers are generated from optimized programs; a unit whose
-        // optimization failed validation must not replay through them.
-        fcfg.hifi_options.compiled = hifi::CompiledExec::Off;
-        fallback_runner = std::make_unique<harness::TestRunner>(fcfg);
-    }
 
     // Resume: execution proceeds in test order, so the checkpoint's
     // counters and clusters cover exactly the first executed_count
@@ -712,27 +612,22 @@ Pipeline::execute_and_compare()
             break;
         }
         const GeneratedTest &test = tests_[i];
-        harness::TestRunner &exec =
-            (fallback_runner != nullptr &&
-             opt_fallback_.count(test.table_index) != 0)
-            ? *fallback_runner
-            : runner;
         // One test's three-way execution is one quarantinable unit.
         bool exec_faulted = false;
         try {
             auto t0 = std::chrono::steady_clock::now();
-            exec.run_one_into(harness::Backend::HiFi,
-                              test.program.code, hifi_run);
+            runner.run_one_into(harness::Backend::HiFi,
+                                test.program.code, hifi_run);
             stats_.t_execution_hifi += seconds_since(t0);
 
             t0 = std::chrono::steady_clock::now();
-            exec.run_one_into(harness::Backend::LoFi,
-                              test.program.code, lofi_run);
+            runner.run_one_into(harness::Backend::LoFi,
+                                test.program.code, lofi_run);
             stats_.t_execution_lofi += seconds_since(t0);
 
             t0 = std::chrono::steady_clock::now();
-            exec.run_one_into(harness::Backend::Hardware,
-                              test.program.code, hw_run);
+            runner.run_one_into(harness::Backend::Hardware,
+                                test.program.code, hw_run);
             stats_.t_execution_hw += seconds_since(t0);
         } catch (const support::FaultError &e) {
             // Misbehaving-backend faults (crash, watchdog hang,
@@ -844,11 +739,6 @@ Pipeline::execute_and_compare()
     sync_execution(done);
     stats_.compiled_hits += runner.hifi().compiled_hits();
     stats_.compiled_misses += runner.hifi().compiled_misses();
-    if (fallback_runner != nullptr) {
-        stats_.compiled_hits += fallback_runner->hifi().compiled_hits();
-        stats_.compiled_misses +=
-            fallback_runner->hifi().compiled_misses();
-    }
     if (tests_since_checkpoint != 0 || done == start)
         write_checkpoint();
 }
@@ -931,22 +821,6 @@ PipelineStats::to_string() const
            << ", deadline " << truncated_deadline << ", step-limit "
            << truncated_step_limit << ", solver-timeout "
            << truncated_solver_timeout() << "\n";
-    }
-    if (opt_stmts_before != 0) {
-        const double reduction = 100.0 *
-            (1.0 - static_cast<double>(opt_stmts_after) /
-                 static_cast<double>(opt_stmts_before));
-        os << "IR optimizer: " << opt_stmts_before << " -> "
-           << opt_stmts_after << " statements (" << std::fixed
-           << std::setprecision(1) << reduction << "% reduction)"
-           << std::defaultfloat << std::setprecision(6);
-        if (opt_units_validated || opt_validation_failures) {
-            os << "; validation: " << opt_units_validated
-               << " units proven equivalent, "
-               << opt_validation_failures
-               << " replaying the original";
-        }
-        os << " (" << t_validation << "s)\n";
     }
     os << "minimization: " << minimize_bits_before
        << " differing bits -> " << minimize_bits_after << "\n";

@@ -18,7 +18,6 @@
 #define POKEEMU_POKEEMU_PIPELINE_H
 
 #include <optional>
-#include <set>
 
 #include "explore/insn_explorer.h"
 #include "explore/state_explorer.h"
@@ -54,29 +53,24 @@ struct PipelineOptions
     bool minimize = true;
     /** Static branch pruning for stage-2 feasibility probes (see
      *  analysis::PruneMode). Path sets and schedules are identical in
-     *  every mode; only the queries/avoided split in the stats moves,
+     *  both modes; only the queries/avoided split in the stats moves,
      *  which is why the mode is part of the options fingerprint. */
     analysis::PruneMode prune = analysis::PruneMode::On;
     /**
-     * IR optimizer mode (analysis/optimize.h). Stage-2 exploration
-     * always runs the builder-original semantics, so the generated
-     * tests — and therefore the difference clusters — are identical
-     * in every mode. On optimizes each unit's semantics once to
-     * record statement-reduction stats and replays stage-4 Hi-Fi
-     * execution on optimized IR; Validated additionally proves each
-     * unit's (original, optimized) pair equivalent with the solver
-     * (analysis/equiv.h), quarantining any counterexample and
-     * replaying that unit's tests on the original program instead.
+     * IR optimizer for stage-4 interpreted Hi-Fi replay
+     * (analysis/optimize.h). Stage-2 exploration always runs the
+     * builder-original semantics, so the generated tests — and
+     * therefore the difference clusters — are identical in both
+     * modes. The optimizer is proven sound at build time (the
+     * ir_equiv_all and semgen_crosscheck_all ctests), not per run.
      */
     analysis::OptMode opt = analysis::OptMode::Off;
     /**
      * Compiled-semantics execution for stage-4 Hi-Fi replay
      * (hifi/compiled.h). On dispatches each instruction to its
      * build-time generated native handler (interpreter fallback for
-     * unmatched encodings); CrossCheck additionally interprets the
-     * handler's source program and quarantines any divergence as
-     * FaultClass::CodegenMismatch. Final states — and therefore
-     * reports — are identical in every mode.
+     * unmatched encodings). Final states — and therefore reports —
+     * are identical in both modes.
      */
     hifi::CompiledExec compiled = hifi::CompiledExec::Off;
     /**
@@ -142,14 +136,6 @@ struct PipelineStats
     u64 truncated_path_cap = 0;
     u64 truncated_deadline = 0;
     u64 truncated_step_limit = 0;
-    /** IR optimizer accounting (all zero when OptMode::Off, which
-     *  keeps the Off report byte-identical to pre-optimizer output).
-     *  Statement counts are per-unit semantics totals summed over
-     *  explored units. */
-    u64 opt_stmts_before = 0;
-    u64 opt_stmts_after = 0;
-    u64 opt_units_validated = 0; ///< Proven-equivalent units.
-    u64 opt_validation_failures = 0; ///< Counterexamples (fallback).
     // Stage 3.
     u64 test_programs = 0;
     u64 generation_failures = 0;
@@ -211,7 +197,6 @@ struct PipelineStats
     double t_execution_lofi = 0;
     double t_execution_hw = 0;
     double t_comparison = 0;
-    double t_validation = 0; ///< Optimizer + translation validation.
 
     /** Stage-2 units whose exploration a solver timeout cut short
      *  (they carry no CheckpointUnit; the quarantine ledger is the
@@ -300,9 +285,6 @@ class Pipeline
      *  sibling paths of the same instruction re-checking shared
      *  path-condition prefixes. */
     solver::QueryMemo memo_;
-    /** Table indices whose Validated-mode check found a counterexample;
-     *  their stage-4 Hi-Fi replay falls back to the original program. */
-    std::set<int> opt_fallback_;
     Checkpoint checkpoint_;              ///< Progress being built.
     std::optional<Checkpoint> resumed_;  ///< Loaded prior progress.
     /** Stage-2 entries from the resumed ledger. Re-attempted units

@@ -12,21 +12,14 @@ namespace pokeemu {
 
 namespace {
 
-/** v5 added the cycle-fidelity columns (per-unit cost triples, the
- *  campaign cycle totals + timing-divergence counters, and the two
- *  TimingDivergence clusterers). v4 added the per-unit IR-optimizer
- *  columns (stmts_before, stmts_after, opt_validated, opt_fallback);
- *  v3 added the per-unit solver_queries_avoided column (static
- *  pruning); v2 added per-unit coverage + truncation columns; v1
- *  files carry no coverage data. Resuming an old file would silently
- *  under-report those counters — load refuses all of them by name. */
-constexpr const char *kMagic = "pokeemu-checkpoint-v5";
-constexpr const char *kMagicOld[] = {
-    "pokeemu-checkpoint-v1",
-    "pokeemu-checkpoint-v2",
-    "pokeemu-checkpoint-v3",
-    "pokeemu-checkpoint-v4",
-};
+/** v6 dropped the per-unit IR-optimizer columns and renumbered the
+ *  quarantine ledger's stage and fault-class values; v5 added the
+ *  cycle-fidelity columns, v4 the optimizer columns, v3 the
+ *  solver_queries_avoided column and v2 the coverage columns. Resuming
+ *  any older file would misparse or under-report, so load refuses
+ *  every other version by name. */
+constexpr const char *kMagic = "pokeemu-checkpoint-v6";
+constexpr const char *kMagicPrefix = "pokeemu-checkpoint-v";
 
 [[noreturn]] void
 checkpoint_error(const std::string &message)
@@ -92,8 +85,6 @@ save_checkpoint(std::ostream &out, const Checkpoint &checkpoint)
             << u.total_blocks << " " << u.covered_edges << " "
             << u.total_edges << " "
             << static_cast<unsigned>(u.truncation) << " "
-            << u.stmts_before << " " << u.stmts_after << " "
-            << u.opt_validated << " " << u.opt_fallback << " "
             << u.cost_base << " " << u.cost_mem_accesses << " "
             << u.cost_fault_extra << " "
             << u.tests.size() << "\n";
@@ -133,17 +124,14 @@ load_checkpoint(std::istream &in)
 {
     std::string magic;
     if (!std::getline(in, magic) || magic != kMagic) {
-        for (const char *old : kMagicOld) {
-            if (magic == old) {
-                checkpoint_error(
-                    "this is a " + magic + " file; the current format "
-                    "is pokeemu-checkpoint-v5 (cycle-fidelity "
-                    "columns) and old progress cannot be resumed — "
-                    "delete the old checkpoint and restart the "
-                    "campaign");
-            }
+        if (magic.rfind(kMagicPrefix, 0) == 0) {
+            checkpoint_error(
+                "unsupported checkpoint version: this is a " + magic +
+                " file and the current format is " + kMagic +
+                "; old progress cannot be resumed — delete the old "
+                "checkpoint and restart the campaign");
         }
-        checkpoint_error("bad header (version mismatch?)");
+        checkpoint_error("bad header");
     }
 
     Checkpoint cp;
@@ -168,9 +156,8 @@ load_checkpoint(std::istream &in)
               u.minimize_bits_before >> u.minimize_bits_after >>
               u.generation_failures >> u.covered_blocks >>
               u.total_blocks >> u.covered_edges >> u.total_edges >>
-              truncation >> u.stmts_before >> u.stmts_after >>
-              u.opt_validated >> u.opt_fallback >> u.cost_base >>
-              u.cost_mem_accesses >> u.cost_fault_extra >> ntests)) {
+              truncation >> u.cost_base >> u.cost_mem_accesses >>
+              u.cost_fault_extra >> ntests)) {
             checkpoint_error("truncated unit row");
         }
         if (truncation >= coverage::kNumTruncationReasons)
@@ -221,9 +208,8 @@ load_checkpoint(std::istream &in)
         std::string message_hex;
         if (!(in >> stage >> cls >> unit_hex >> message_hex))
             checkpoint_error("truncated quarantine row");
-        if (stage > static_cast<unsigned>(support::Stage::Backend) ||
-            cls > static_cast<unsigned>(
-                      support::FaultClass::SnapshotCorrupt)) {
+        if (stage >= support::kNumStages ||
+            cls >= support::kNumFaultClasses) {
             checkpoint_error("bad quarantine stage/class");
         }
         cp.quarantine.add(static_cast<support::Stage>(stage),

@@ -124,15 +124,6 @@ struct CheckpointUnit
     /** Why the exploration stopped short (None when complete). */
     coverage::TruncationReason truncation =
         coverage::TruncationReason::None;
-    /** IR optimizer columns (v4): semantics statement counts before
-     *  and after optimization (both 0 under OptMode::Off), whether
-     *  Validated-mode translation validation proved the pair
-     *  equivalent, and whether it found a counterexample (the unit's
-     *  stage-4 Hi-Fi replay then falls back to the original IR). */
-    u64 stmts_before = 0;
-    u64 stmts_after = 0;
-    bool opt_validated = false;
-    bool opt_fallback = false;
     /** Cycle-cost columns (v5): the unit's derived cost triple
      *  (timing/cost_model.h) for the explored representative's operand
      *  form. Recorded in every run — the model is static, so the

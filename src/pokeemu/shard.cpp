@@ -274,10 +274,6 @@ merge_outcomes(CampaignResult &result, const ShardPlan &plan,
         m.solver_queries_avoided += st.solver_queries_avoided;
         m.minimize_bits_before += st.minimize_bits_before;
         m.minimize_bits_after += st.minimize_bits_after;
-        m.opt_stmts_before += st.opt_stmts_before;
-        m.opt_stmts_after += st.opt_stmts_after;
-        m.opt_units_validated += st.opt_units_validated;
-        m.opt_validation_failures += st.opt_validation_failures;
         m.covered_blocks += st.covered_blocks;
         m.total_blocks += st.total_blocks;
         m.covered_edges += st.covered_edges;
@@ -551,7 +547,7 @@ CampaignResult::report() const
     }
     // Print queries + avoided: the sum is invariant across prune
     // modes, so the merged report stays byte-identical whether the
-    // campaign ran with pruning off, on, or cross-checked.
+    // campaign ran with pruning off or on.
     os << "solver: " << m.solver_queries + m.solver_queries_avoided
        << " queries; memo " << m.solver_cache_hits << " hits, "
        << m.solver_cache_misses << " misses";
@@ -564,25 +560,6 @@ CampaignResult::report() const
            << std::setprecision(6);
     }
     os << "\n";
-    if (m.opt_stmts_before != 0) {
-        // Per-unit optimizer results are deterministic, so these sums
-        // are byte-identical for any shard count (t_validation is
-        // wall clock and deliberately absent here).
-        const double reduction = 100.0 *
-            (1.0 - static_cast<double>(m.opt_stmts_after) /
-                 static_cast<double>(m.opt_stmts_before));
-        os << "IR optimizer: " << m.opt_stmts_before << " -> "
-           << m.opt_stmts_after << " statements (" << std::fixed
-           << std::setprecision(1) << reduction << "% reduction)"
-           << std::defaultfloat << std::setprecision(6);
-        if (m.opt_units_validated || m.opt_validation_failures) {
-            os << "; validation: " << m.opt_units_validated
-               << " units proven equivalent, "
-               << m.opt_validation_failures
-               << " replaying the original";
-        }
-        os << "\n";
-    }
     os << "minimization: " << m.minimize_bits_before
        << " differing bits -> " << m.minimize_bits_after << "\n";
     os << "test programs: " << m.test_programs << " ("

@@ -13,7 +13,6 @@ stage_name(Stage stage)
       case Stage::Generation: return "generation";
       case Stage::Execution: return "execution";
       case Stage::Comparison: return "comparison";
-      case Stage::Validation: return "validation";
       case Stage::Backend: return "backend";
     }
     return "?";
@@ -29,11 +28,9 @@ fault_class_name(FaultClass cls)
       case FaultClass::BudgetExhausted: return "budget-exhausted";
       case FaultClass::Execution: return "execution";
       case FaultClass::Injected: return "injected";
-      case FaultClass::Miscompile: return "miscompile";
       case FaultClass::BackendCrash: return "backend-crash";
       case FaultClass::BackendHang: return "backend-hang";
       case FaultClass::SnapshotCorrupt: return "snapshot-corrupt";
-      case FaultClass::CodegenMismatch: return "codegen-mismatch";
     }
     return "?";
 }

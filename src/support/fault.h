@@ -41,20 +41,18 @@ enum class Stage : u8 {
     Generation,       ///< Stage 3: test-program generation.
     Execution,        ///< Stage 4: three-way execution.
     Comparison,       ///< Stage 5: difference analysis.
-    /** Translation validation of an optimized semantics program
-     *  (analysis/equiv.h). A separate stage — not StateExploration —
-     *  because its quarantine entries describe work that is never
-     *  re-attempted on resume (the unit itself completed), so the
-     *  resume logic must replay them into the live ledger verbatim. */
-    Validation,
     /** A backend misbehaved while executing one test — crashed, hung
      *  past the per-run watchdog, or produced a corrupt snapshot.
      *  Distinct from Execution (a backend *refusing* a test) because
      *  the defect matrix scores containment of misbehaving variant
-     *  backends separately from ordinary execution failures. Appended
-     *  last so persisted checkpoint ledgers keep their encoding. */
+     *  backends separately from ordinary execution failures. */
     Backend,
 };
+
+/** Stage count; checkpoints persist stages by value and refuse any
+ *  value at or above it. */
+constexpr unsigned kNumStages = 6;
+static_assert(static_cast<unsigned>(Stage::Backend) + 1 == kNumStages);
 
 const char *stage_name(Stage stage);
 
@@ -66,16 +64,16 @@ enum class FaultClass : u8 {
     BudgetExhausted, ///< Unit deadline expired even after escalation.
     Execution,       ///< A backend refused or failed the test.
     Injected,        ///< Synthetic fault from a FaultInjector.
-    Miscompile,      ///< Translation validation found a counterexample.
     BackendCrash,    ///< A backend threw out of its run loop.
     BackendHang,     ///< A backend tripped the per-run watchdog.
     SnapshotCorrupt, ///< A backend emitted an invalid snapshot.
-    /** CompiledExec::CrossCheck caught the compiled handler diverging
-     *  from the IR interpreter, or the generated handler table is
-     *  stale (semantics hash mismatch). Appended last so persisted
-     *  checkpoint ledgers keep their encoding. */
-    CodegenMismatch,
 };
+
+/** FaultClass count; checkpoints persist classes by value and refuse
+ *  any value at or above it. */
+constexpr unsigned kNumFaultClasses = 9;
+static_assert(static_cast<unsigned>(FaultClass::SnapshotCorrupt) + 1 ==
+              kNumFaultClasses);
 
 const char *fault_class_name(FaultClass cls);
 

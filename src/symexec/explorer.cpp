@@ -1,6 +1,5 @@
 #include "symexec/explorer.h"
 
-#include "analysis/optimize.h"
 #include "analysis/verifier.h"
 
 namespace pokeemu::symexec {
@@ -18,24 +17,14 @@ constexpr u32 kNoEdgeNode = ~u32{0};
 
 PathExplorer::PathExplorer(const ir::Program &program, VarPool &pool,
                            InitialByteFn initial, ExplorerConfig config)
-    : opt_storage_(config.opt == analysis::OptMode::Off
-                       ? ir::Program{}
-                       : analysis::optimize_program(program).program),
-      program_(config.opt == analysis::OptMode::Off ? program
-                                                    : opt_storage_),
-      pool_(pool), initial_(std::move(initial)), config_(config),
-      rng_(config.seed)
+    : program_(program), pool_(pool), initial_(std::move(initial)),
+      config_(config), rng_(config.seed)
 {
     solver_.set_query_budget(config_.solver_query_ms,
                              config_.solver_query_steps);
     solver_.set_fault_injector(config_.injector);
     solver_.set_memo(config_.memo);
     assert(config_.policy == nullptr || config_.coverage != nullptr);
-    // facts/coverage index statements of the program the caller
-    // passed; after an in-explorer optimization those indices would be
-    // meaningless (see ExplorerConfig::opt).
-    assert(config_.opt == analysis::OptMode::Off ||
-           (config_.facts == nullptr && config_.coverage == nullptr));
     program_.validate();
 #ifndef NDEBUG
     // Fail fast on malformed programs instead of producing garbage
@@ -97,30 +86,8 @@ PathExplorer::probe(const RunState &run, const ExprRef &extra,
       case analysis::PruneMode::On:
         ++avoided_;
         return solver::CheckResult::Unsat;
-      case analysis::PruneMode::CrossCheck:
-        ++avoided_;
-        side_check(run, extra);
-        return solver::CheckResult::Unsat;
     }
     return solver::CheckResult::Unsat; // Unreachable.
-}
-
-void
-PathExplorer::side_check(const RunState &run, const ExprRef &extra)
-{
-    if (!side_solver_) {
-        side_solver_ = std::make_unique<solver::Solver>();
-        side_solver_->set_query_budget(config_.solver_query_ms,
-                                       config_.solver_query_steps);
-    }
-    std::vector<ExprRef> conds = run.pc;
-    conds.push_back(extra);
-    ++crosscheck_queries_;
-    if (side_solver_->check(conds) != solver::CheckResult::Unsat) {
-        panic("explorer: pruning cross-check failed on '" +
-              program_.name +
-              "': a statically-decided infeasible probe is satisfiable");
-    }
 }
 
 bool
@@ -487,7 +454,6 @@ PathExplorer::explore(const PathCallback &on_path)
     stats.solver_cache_hits = solver_.stats().cache_hits;
     stats.solver_cache_misses = solver_.stats().cache_misses;
     stats.solver_queries_avoided = avoided_;
-    stats.crosscheck_queries = crosscheck_queries_;
     if (config_.facts != nullptr && config_.facts->analyzed) {
         stats.static_decisions = config_.facts->decided_cjmps +
                                  config_.facts->decided_assumes;

@@ -24,11 +24,9 @@
 #define POKEEMU_SYMEXEC_EXPLORER_H
 
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "analysis/dataflow.h"
-#include "analysis/optimize.h"
 #include "coverage/coverage.h"
 #include "ir/stmt.h"
 #include "solver/solver.h"
@@ -99,21 +97,10 @@ struct ExplorerConfig
      * analysis::PruneMode). Decided probes never change which paths
      * are explored or in what order: the decision tree, the seeded
      * rng stream, frontier-policy consultations and the path
-     * condition evolve identically in all three modes — only the
-     * solver dispatch for the probe differs.
+     * condition evolve identically in both modes — only the solver
+     * dispatch for the probe differs.
      */
     analysis::PruneMode prune = analysis::PruneMode::On;
-    /**
-     * Run the IR optimizer (analysis/optimize.h) over the program and
-     * explore the optimized copy (owned by the explorer). Validated
-     * behaves like On here. Incompatible with `facts`, `coverage` and
-     * `policy`, which were necessarily built against the original
-     * program's statement indices — the constructor asserts they are
-     * null. Callers that want facts or coverage over optimized IR
-     * optimize first (hifi::SemanticsOptions::opt) and pass the
-     * optimized program in directly.
-     */
-    analysis::OptMode opt = analysis::OptMode::Off;
 };
 
 /** How one explored path terminated. */
@@ -150,15 +137,13 @@ struct ExploreStats
     u64 solver_cache_hits = 0;   ///< Queries answered by the memo.
     u64 solver_cache_misses = 0; ///< Memo-eligible queries solved.
     /** Feasibility probes answered by a static Decision instead of a
-     *  solver dispatch (prune On/CrossCheck; always 0 when Off). The
-     *  sum solver_queries + solver_queries_avoided is invariant
-     *  across prune modes. */
+     *  solver dispatch (prune On; always 0 when Off). The sum
+     *  solver_queries + solver_queries_avoided is invariant across
+     *  prune modes. */
     u64 solver_queries_avoided = 0;
     /** Statically-decided CJmp/Assume statements available to this
      *  exploration (a property of the facts, not of the paths). */
     u64 static_decisions = 0;
-    /** Side-solver validations performed (prune CrossCheck only). */
-    u64 crosscheck_queries = 0;
     u64 tree_nodes = 0;
     /** Coverage over the program's CFG (zeros when config.coverage
      *  was null). */
@@ -268,14 +253,10 @@ class PathExplorer
      * Unsat, and the prune mode picks the mechanism: Off dispatches to
      * the main solver with the memo bypassed (the result is unique to
      * this decision-tree node, so caching it would only skew memo
-     * statistics between modes), On returns Unsat outright, CrossCheck
-     * returns Unsat after validating it on the side solver.
+     * statistics between modes), On returns Unsat outright.
      */
     solver::CheckResult probe(const RunState &run,
                               const ir::ExprRef &extra, bool decided);
-
-    /** CrossCheck validation: run.pc + extra must be Unsat. */
-    void side_check(const RunState &run, const ir::ExprRef &extra);
 
     /** Static decision for the statement at @p stmt_index. */
     analysis::Decision stmt_decision(u32 stmt_index) const
@@ -287,9 +268,6 @@ class PathExplorer
 
     void refresh_model();
 
-    /** Optimized copy when config.opt != Off (program_ points here);
-     *  empty otherwise. Declared first so program_ can reference it. */
-    ir::Program opt_storage_;
     const ir::Program &program_;
     VarPool &pool_;
     InitialByteFn initial_;
@@ -300,12 +278,7 @@ class PathExplorer
     solver::Assignment cur_model_;
     /** Cached SingleRandom concretizations: (edge, event) -> value. */
     std::map<std::tuple<u32, u8, u32>, u64> concretization_cache_;
-    /** CrossCheck-only validation solver, created on first use. Fully
-     *  isolated from solver_ (no memo, no injector) so validating a
-     *  skipped probe cannot perturb the main query stream. */
-    std::unique_ptr<solver::Solver> side_solver_;
     u64 avoided_ = 0;
-    u64 crosscheck_queries_ = 0;
     bool explored_ = false;
 };
 

@@ -22,8 +22,8 @@
  * symbolic exploration, the interpreter, and the generated native
  * handlers all observe identical accounting — and tools/semgen emits
  * the very table it compiled against (compiled_cost_table), folded
- * into the FNV staleness hash so a stale cost table refuses to load
- * just like stale handlers do.
+ * into the FNV staleness stamp so the ctests that check the stamp
+ * catch a stale cost table just like stale handlers.
  *
  * The model is deliberately *static per (row, operand form)*: equal
  * retired instruction sequences always charge equal cycles, so with
@@ -136,7 +136,7 @@ class CostModel
  * table (hifi::compiled_cost_table) — no semantics are rebuilt at
  * run time, so enabling timing costs one table scan. The generated
  * table is verified against fresh derivation by the
- * timing_crosscheck tool and the FNV staleness hash.
+ * timing_crosscheck tool and the FNV staleness stamp.
  */
 const CostModel &cost_model();
 

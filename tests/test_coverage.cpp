@@ -6,7 +6,7 @@
  * the determinism contract (scheduling is a pure function of
  * (unit, seed); unlimited caps change order but not the path set;
  * sharded campaign reports stay byte-identical with the scheduler on),
- * and the checkpoint-v2 coverage rows incl. the v1 refusal.
+ * and the checkpoint-v2 coverage rows.
  */
 #include <algorithm>
 #include <filesystem>
@@ -576,24 +576,6 @@ TEST(CheckpointV2, CoverageFieldsRoundTrip)
     EXPECT_EQ(r.covered_edges, 8u);
     EXPECT_EQ(r.total_edges, 15u);
     EXPECT_EQ(r.truncation, TruncationReason::PathCap);
-}
-
-TEST(CheckpointV2, RefusesV1FilesByName)
-{
-    // A well-formed v1 header must produce a targeted error, not a
-    // generic parse failure: v1 rows carry no coverage columns and
-    // resuming one would silently under-report campaign coverage.
-    std::stringstream v1("pokeemu-checkpoint-v1\n"
-                         "fingerprint 1\nexplored 0\nexecuted 0\n");
-    try {
-        load_checkpoint(v1);
-        FAIL() << "v1 checkpoint was accepted";
-    } catch (const std::logic_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("pokeemu-checkpoint-v1"),
-                  std::string::npos);
-        EXPECT_NE(what.find("cannot be resumed"), std::string::npos);
-    }
 }
 
 TEST(CheckpointV2, RejectsBadTruncationReason)

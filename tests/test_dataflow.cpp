@@ -4,8 +4,9 @@
  * domains + analysis/dataflow) and its three consumers: transfer
  * functions and the over-approximation property, fixpoint behaviour on
  * straight-line and looping programs, static pruning of explorer
- * solver probes, the derived EFLAGS write oracle, and the dataflow-
- * backed lint passes.
+ * solver probes (including a full-table soundness check of the skipped
+ * probes), the derived EFLAGS write oracle, and the dataflow-backed
+ * lint passes.
  */
 #include <gtest/gtest.h>
 
@@ -16,9 +17,12 @@
 #include "analysis/dataflow.h"
 #include "analysis/domains.h"
 #include "analysis/passes.h"
+#include "arch/decoder.h"
+#include "explore/state_explorer.h"
 #include "ir/builder.h"
 #include "support/rng.h"
 #include "symexec/explorer.h"
+#include "testgen/testgen.h"
 
 namespace pokeemu::analysis {
 namespace {
@@ -482,11 +486,9 @@ TEST(ExplorerPruning, DecidedProbesSkipQueriesWithoutChangingPaths)
 
     const PruneRun off = explore_with(p, &facts, PruneMode::Off);
     const PruneRun on = explore_with(p, &facts, PruneMode::On);
-    const PruneRun cross = explore_with(p, &facts, PruneMode::CrossCheck);
 
-    // Identical path sets, in identical order, in every mode.
+    // Identical path sets, in identical order, in both modes.
     EXPECT_EQ(off.halt_codes, on.halt_codes);
-    EXPECT_EQ(off.halt_codes, cross.halt_codes);
     EXPECT_EQ(std::set<u32>(off.halt_codes.begin(),
                             off.halt_codes.end()),
               (std::set<u32>{1, 2}));
@@ -498,15 +500,6 @@ TEST(ExplorerPruning, DecidedProbesSkipQueriesWithoutChangingPaths)
     EXPECT_EQ(off.stats.solver_queries,
               on.stats.solver_queries + on.stats.solver_queries_avoided);
     EXPECT_LT(on.stats.solver_queries, off.stats.solver_queries);
-
-    // CrossCheck validates every skipped probe on the side solver and
-    // matches On on the main stream.
-    EXPECT_EQ(cross.stats.solver_queries, on.stats.solver_queries);
-    EXPECT_EQ(cross.stats.solver_queries_avoided,
-              on.stats.solver_queries_avoided);
-    EXPECT_EQ(cross.stats.crosscheck_queries,
-              cross.stats.solver_queries_avoided);
-    EXPECT_EQ(on.stats.crosscheck_queries, 0u);
 
     // static_decisions reports the facts' property in every mode.
     EXPECT_EQ(off.stats.static_decisions, on.stats.static_decisions);
@@ -522,6 +515,85 @@ TEST(ExplorerPruning, NoFactsMeansNoSkips)
     EXPECT_EQ(std::set<u32>(bare.halt_codes.begin(),
                             bare.halt_codes.end()),
               (std::set<u32>{1, 2}));
+}
+
+// ---------------------------------------------------------------------
+// Pruning soundness over the whole instruction table: every canonical
+// row explored with the pipeline's stage-2 options, prune Off and On.
+// Every unit completes, so an unsound skip (a decided-infeasible probe
+// that is actually satisfiable) would surface as an extra Off path.
+// ---------------------------------------------------------------------
+
+std::vector<explore::StateExploreResult>
+explore_table(PruneMode mode, const explore::StateSpec &spec,
+              const symexec::Summary &summary)
+{
+    solver::QueryMemo memo;
+    explore::StateExploreOptions options;
+    options.max_paths = 8192;
+    options.schedule = coverage::SchedulePolicy::PathCoverFirst;
+    options.memo = &memo;
+    options.prune = mode;
+    std::vector<explore::StateExploreResult> units;
+    for (std::size_t row = 0; row < arch::insn_table().size(); ++row) {
+        const std::vector<u8> bytes =
+            arch::canonical_encoding(static_cast<int>(row));
+        arch::DecodedInsn insn;
+        EXPECT_EQ(arch::decode(bytes.data(), bytes.size(), insn),
+                  arch::DecodeStatus::Ok);
+        explore::StateExploreOptions per_insn = options;
+        if (insn.rep || insn.repne) { // The pipeline's rep budget.
+            per_insn.max_paths = 12;
+            per_insn.max_steps = 3000;
+        }
+        memo.begin_unit();
+        units.push_back(
+            explore::explore_instruction(insn, spec, &summary, per_insn));
+    }
+    return units;
+}
+
+TEST(PruneSoundness, FullTableOffAndOnExploreIdenticalPaths)
+{
+    symexec::VarPool summary_pool;
+    const symexec::Summary summary =
+        hifi::summarize_descriptor_load(summary_pool);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(),
+                                  testgen::baseline_ram_after_init(),
+                                  &summary);
+    const auto off = explore_table(PruneMode::Off, spec, summary);
+    const auto on = explore_table(PruneMode::On, spec, summary);
+    ASSERT_EQ(off.size(), on.size());
+
+    u64 avoided = 0;
+    for (std::size_t row = 0; row < off.size(); ++row) {
+        const explore::StateExploreResult &a = off[row];
+        const explore::StateExploreResult &b = on[row];
+        const char *name = arch::insn_table()[row].mnemonic;
+        EXPECT_TRUE(a.stats.complete) << name;
+        EXPECT_TRUE(b.stats.complete) << name;
+        EXPECT_EQ(a.stats.solver_queries,
+                  b.stats.solver_queries + b.stats.solver_queries_avoided)
+            << name;
+        avoided += b.stats.solver_queries_avoided;
+        ASSERT_EQ(a.paths.size(), b.paths.size()) << name;
+        ASSERT_EQ(a.pool.all().size(), b.pool.all().size()) << name;
+        for (std::size_t i = 0; i < a.paths.size(); ++i) {
+            EXPECT_EQ(a.paths[i].halt_code, b.paths[i].halt_code)
+                << name << " path " << i;
+            // Compare the values testgen reads (get), not the maps: a
+            // model may carry an explicit zero the other leaves out.
+            for (std::size_t v = 0; v < a.pool.all().size(); ++v) {
+                const ExprRef &var = a.pool.all()[v];
+                ASSERT_EQ(var->name(), b.pool.all()[v]->name()) << name;
+                EXPECT_EQ(a.paths[i].assignment.get(var->var_id()),
+                          b.paths[i].assignment.get(
+                              b.pool.all()[v]->var_id()))
+                    << name << " path " << i << " " << var->name();
+            }
+        }
+    }
+    EXPECT_GT(avoided, 0u);
 }
 
 // ---------------------------------------------------------------------

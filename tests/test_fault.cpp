@@ -368,7 +368,7 @@ TEST(Checkpoint, MalformedInputRejected)
     EXPECT_THROW(load_from("not-a-checkpoint v9"), std::logic_error);
     // Truncated: header promises a unit that never follows.
     EXPECT_THROW(
-        load_from("pokeemu-checkpoint-v1\nfingerprint 1\nexplored 1\n"),
+        load_from("pokeemu-checkpoint-v6\nfingerprint 1\nexplored 1\n"),
         std::logic_error);
 
     // A valid stream with the trailing 'end' clipped off.
@@ -381,19 +381,66 @@ TEST(Checkpoint, MalformedInputRejected)
 
 TEST(Checkpoint, OldVersionRefusedByName)
 {
-    // A v2 (or v1) header is a recognized-but-stale format: the error
-    // must name the found version and the current one so the operator
-    // knows to restart rather than suspect corruption.
-    std::istringstream in("pokeemu-checkpoint-v2\nfingerprint 1\n");
-    try {
-        load_checkpoint(in);
-        FAIL() << "expected refusal of v2 checkpoint";
-    } catch (const std::logic_error &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("pokeemu-checkpoint-v2"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("pokeemu-checkpoint-v5"), std::string::npos)
-            << what;
+    // An older header is a recognized-but-stale format: the error must
+    // name the found version and the current one so the operator knows
+    // to restart rather than suspect corruption.
+    for (int v = 1; v <= 5; ++v) {
+        const std::string old =
+            "pokeemu-checkpoint-v" + std::to_string(v);
+        std::istringstream in(old + "\nfingerprint 1\n");
+        try {
+            load_checkpoint(in);
+            FAIL() << "expected refusal of " << old;
+        } catch (const std::logic_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(old), std::string::npos) << what;
+            EXPECT_NE(what.find("pokeemu-checkpoint-v6"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
+TEST(Checkpoint, LedgerRoundTripsEveryStageAndClass)
+{
+    // The loader's stage/class bounds come from the enum counts, so
+    // every value the pipeline can ledger must survive a round trip.
+    Checkpoint cp;
+    for (unsigned s = 0; s < support::kNumStages; ++s) {
+        for (unsigned c = 0; c < support::kNumFaultClasses; ++c) {
+            cp.quarantine.add(static_cast<Stage>(s),
+                              "unit " + std::to_string(s),
+                              static_cast<FaultClass>(c),
+                              "class " + std::to_string(c));
+        }
+    }
+    std::stringstream ss;
+    save_checkpoint(ss, cp);
+    const Checkpoint back = load_checkpoint(ss);
+    ASSERT_EQ(back.quarantine.total(), cp.quarantine.total());
+    for (std::size_t i = 0; i < cp.quarantine.units().size(); ++i) {
+        const support::QuarantinedUnit &want = cp.quarantine.units()[i];
+        const support::QuarantinedUnit &got = back.quarantine.units()[i];
+        EXPECT_EQ(got.stage, want.stage);
+        EXPECT_EQ(got.cls, want.cls);
+        EXPECT_EQ(got.unit, want.unit);
+        EXPECT_EQ(got.message, want.message);
+    }
+
+    // One past either bound is refused.
+    for (const auto &[stage, cls] :
+         {std::pair{support::kNumStages, 0u},
+          std::pair{0u, support::kNumFaultClasses}}) {
+        std::stringstream bad;
+        save_checkpoint(bad, Checkpoint{});
+        std::string text = bad.str();
+        const std::string empty_ledger = "quarantined 0";
+        text.replace(text.find(empty_ledger), empty_ledger.size(),
+                     "quarantined 1\nq " + std::to_string(stage) + " " +
+                         std::to_string(cls) + " - -");
+        std::istringstream in(text);
+        EXPECT_THROW(load_checkpoint(in), std::logic_error)
+            << stage << "/" << cls;
     }
 }
 

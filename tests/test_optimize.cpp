@@ -11,15 +11,12 @@
  *  - validator positive/negative tests, including a hand-miscompiled
  *    program that must yield a concrete counterexample;
  *  - Report::sort() canonical-order regression (byte-stable output);
- *  - checkpoint v4 round-trip of the optimizer columns;
- *  - OptMode::Validated produces the same tests and difference
- *    clusters as Off (the stage-2 test-identity invariant), and the
- *    sharded campaign report stays byte-identical with the optimizer
- *    enabled.
+ *  - OptMode::On produces the same tests and difference clusters as
+ *    Off (the stage-2 test-identity invariant), and the sharded
+ *    campaign report stays byte-identical with the optimizer enabled.
  */
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -471,51 +468,6 @@ TEST(ReportSort, CanonicalOrderIsInsertionIndependent)
 }
 
 // ---------------------------------------------------------------------
-// Satellite 3 (persistence half): checkpoint v4 optimizer columns.
-// ---------------------------------------------------------------------
-
-TEST(CheckpointV4, OptimizerColumnsRoundTrip)
-{
-    Checkpoint cp;
-    cp.fingerprint = 0x1234;
-    CheckpointUnit proven;
-    proven.table_index = 3;
-    proven.complete = true;
-    proven.stmts_before = 100;
-    proven.stmts_after = 61;
-    proven.opt_validated = true;
-    CheckpointUnit fallen;
-    fallen.table_index = 4;
-    fallen.complete = true;
-    fallen.stmts_before = 80;
-    fallen.stmts_after = 55;
-    fallen.opt_fallback = true;
-    cp.explored = {proven, fallen};
-
-    std::stringstream ss;
-    save_checkpoint(ss, cp);
-    const Checkpoint back = load_checkpoint(ss);
-    ASSERT_EQ(back.explored.size(), 2u);
-    EXPECT_EQ(back.explored[0].stmts_before, 100u);
-    EXPECT_EQ(back.explored[0].stmts_after, 61u);
-    EXPECT_TRUE(back.explored[0].opt_validated);
-    EXPECT_FALSE(back.explored[0].opt_fallback);
-    EXPECT_EQ(back.explored[1].stmts_before, 80u);
-    EXPECT_FALSE(back.explored[1].opt_validated);
-    EXPECT_TRUE(back.explored[1].opt_fallback);
-}
-
-TEST(CheckpointV4, OlderFormatsAreRefusedByName)
-{
-    for (const char *magic :
-         {"pokeemu-checkpoint-v1", "pokeemu-checkpoint-v2",
-          "pokeemu-checkpoint-v3"}) {
-        std::istringstream in(std::string(magic) + "\n");
-        EXPECT_THROW(load_checkpoint(in), std::logic_error) << magic;
-    }
-}
-
-// ---------------------------------------------------------------------
 // Pipeline and campaign OptMode invariants.
 // ---------------------------------------------------------------------
 
@@ -534,19 +486,21 @@ small_pipeline()
 
 TEST(PipelineOpt, ValidatedModeKeepsTestsAndClustersIdentical)
 {
+    // Replay on optimized IR; the optimizer itself is proven by the
+    // ir_equiv_all and semgen_crosscheck_all ctests.
     Pipeline off(small_pipeline());
     off.run();
 
-    PipelineOptions vopt = small_pipeline();
-    vopt.opt = analysis::OptMode::Validated;
-    Pipeline validated(vopt);
-    validated.run();
+    PipelineOptions on_options = small_pipeline();
+    on_options.opt = analysis::OptMode::On;
+    Pipeline on(on_options);
+    on.run();
 
     // Stage-2 test identity: same tests, byte for byte.
-    ASSERT_EQ(validated.tests().size(), off.tests().size());
+    ASSERT_EQ(on.tests().size(), off.tests().size());
     for (std::size_t i = 0; i < off.tests().size(); ++i) {
         const GeneratedTest &a = off.tests()[i];
-        const GeneratedTest &b = validated.tests()[i];
+        const GeneratedTest &b = on.tests()[i];
         EXPECT_EQ(a.id, b.id);
         EXPECT_EQ(a.table_index, b.table_index);
         EXPECT_EQ(a.halt_code, b.halt_code);
@@ -556,50 +510,26 @@ TEST(PipelineOpt, ValidatedModeKeepsTestsAndClustersIdentical)
     // Stage-4/5 outcomes identical: replaying proven-equivalent IR
     // cannot move any diff or cluster.
     const PipelineStats &so = off.stats();
-    const PipelineStats &sv = validated.stats();
-    EXPECT_EQ(sv.total_paths, so.total_paths);
-    EXPECT_EQ(sv.tests_executed, so.tests_executed);
-    EXPECT_EQ(sv.lofi_raw_diffs, so.lofi_raw_diffs);
-    EXPECT_EQ(sv.hifi_raw_diffs, so.hifi_raw_diffs);
-    EXPECT_EQ(sv.lofi_diffs, so.lofi_diffs);
-    EXPECT_EQ(sv.hifi_diffs, so.hifi_diffs);
-    EXPECT_EQ(sv.lofi_clusters.to_string(),
+    const PipelineStats &sn = on.stats();
+    EXPECT_EQ(sn.total_paths, so.total_paths);
+    EXPECT_EQ(sn.tests_executed, so.tests_executed);
+    EXPECT_EQ(sn.lofi_raw_diffs, so.lofi_raw_diffs);
+    EXPECT_EQ(sn.hifi_raw_diffs, so.hifi_raw_diffs);
+    EXPECT_EQ(sn.lofi_diffs, so.lofi_diffs);
+    EXPECT_EQ(sn.hifi_diffs, so.hifi_diffs);
+    EXPECT_EQ(sn.lofi_clusters.to_string(),
               so.lofi_clusters.to_string());
-    EXPECT_EQ(sv.hifi_clusters.to_string(),
+    EXPECT_EQ(sn.hifi_clusters.to_string(),
               so.hifi_clusters.to_string());
-
-    // Off records nothing; Validated proves every unit.
-    EXPECT_EQ(so.opt_stmts_before, 0u);
-    EXPECT_EQ(so.opt_stmts_after, 0u);
-    EXPECT_GT(sv.opt_stmts_before, sv.opt_stmts_after);
-    // Every exhaustively explored unit is provable; a path-capped unit
-    // (jz here) validates without the `proven` upgrade but must not
-    // fail or fall back either.
-    EXPECT_GT(sv.opt_units_validated, 0u);
-    EXPECT_EQ(sv.opt_units_validated, sv.instructions_complete);
-    EXPECT_EQ(sv.opt_validation_failures, 0u);
-    EXPECT_EQ(sv.quarantine.total(), 0u);
-}
-
-TEST(PipelineOpt, OptModeIsPartOfTheOptionsFingerprint)
-{
-    PipelineOptions off = small_pipeline();
-    PipelineOptions on = small_pipeline();
-    on.opt = analysis::OptMode::On;
-    PipelineOptions validated = small_pipeline();
-    validated.opt = analysis::OptMode::Validated;
-    EXPECT_NE(options_fingerprint(off), options_fingerprint(on));
-    EXPECT_NE(options_fingerprint(on),
-              options_fingerprint(validated));
+    EXPECT_EQ(sn.quarantine.total(), 0u);
 }
 
 TEST(CampaignOpt, MergedReportByteIdenticalAcrossShardCounts)
 {
     CampaignOptions options;
     options.pipeline = small_pipeline();
-    options.pipeline.opt = analysis::OptMode::Validated;
+    options.pipeline.opt = analysis::OptMode::On;
     const std::string reference = run_campaign(options).report();
-    EXPECT_NE(reference.find("IR optimizer:"), std::string::npos);
 
     for (u32 shards : {2u, 4u}) {
         CampaignOptions sharded = options;

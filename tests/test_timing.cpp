@@ -169,26 +169,6 @@ TEST(CheckpointV5, RoundTripsCycleColumns)
         "cycles-over-hifi");
 }
 
-TEST(CheckpointV5, EveryOlderVersionRefusedByName)
-{
-    for (const char *old : {"pokeemu-checkpoint-v1",
-                            "pokeemu-checkpoint-v2",
-                            "pokeemu-checkpoint-v3",
-                            "pokeemu-checkpoint-v4"}) {
-        std::istringstream in(std::string(old) + "\nfingerprint 1\n");
-        try {
-            load_checkpoint(in);
-            FAIL() << "expected refusal of " << old;
-        } catch (const std::logic_error &e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find(old), std::string::npos) << what;
-            EXPECT_NE(what.find("pokeemu-checkpoint-v5"),
-                      std::string::npos)
-                << what;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Runner level: with timing on and an unbugged Lo-Fi, all three
 // backends agree cycle-for-cycle; with timing off nothing is charged.
@@ -287,20 +267,17 @@ TEST(TimingPipeline, CycleTotalsInvariantAcrossExecutionModes)
     const u64 ref_cycles = ref.run().hw_cycles;
     ASSERT_GT(ref_cycles, 0u);
 
-    for (const hifi::CompiledExec compiled :
-         {hifi::CompiledExec::On, hifi::CompiledExec::CrossCheck}) {
-        for (const analysis::OptMode opt :
-             {analysis::OptMode::Off, analysis::OptMode::On}) {
-            PipelineOptions options = base;
-            options.compiled = compiled;
-            options.opt = opt;
-            Pipeline pipeline(options);
-            const PipelineStats &s = pipeline.run();
-            EXPECT_EQ(s.hifi_cycles, ref_cycles);
-            EXPECT_EQ(s.lofi_cycles, ref_cycles);
-            EXPECT_EQ(s.hw_cycles, ref_cycles);
-            EXPECT_EQ(s.hifi_timing_divergences, 0u);
-        }
+    for (const analysis::OptMode opt :
+         {analysis::OptMode::Off, analysis::OptMode::On}) {
+        PipelineOptions options = base;
+        options.compiled = hifi::CompiledExec::On;
+        options.opt = opt;
+        Pipeline pipeline(options);
+        const PipelineStats &s = pipeline.run();
+        EXPECT_EQ(s.hifi_cycles, ref_cycles);
+        EXPECT_EQ(s.lofi_cycles, ref_cycles);
+        EXPECT_EQ(s.hw_cycles, ref_cycles);
+        EXPECT_EQ(s.hifi_timing_divergences, 0u);
     }
 }
 

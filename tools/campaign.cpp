@@ -8,6 +8,10 @@
  *   campaign --shards 4 --checkpoint-dir /tmp/camp --resume
  *   campaign --shards 2 --time-slice 3,50 --checkpoint-dir /tmp/camp
  *
+ * Every campaign runs the production configuration: path-cover
+ * scheduling, compiled Hi-Fi replay, static pruning, optimizer off.
+ * (`coverage_report --policy` compares the schedulers.)
+ *
  * The deterministic report goes to stdout; wall clock, sessions and
  * shard accounting (layout-dependent by nature) go after it, marked as
  * such, so diffing reports across shard counts stays meaningful:
@@ -42,17 +46,6 @@ usage(const char *argv0)
                  "                        interruption; resume later)\n"
                  "  --max-instructions N  cap the campaign workload\n"
                  "  --max-paths N         per-instruction path cap\n"
-                 "  --schedule P          path-order policy: pathcover,\n"
-                 "                        frontier (default) or default\n"
-                 "  --opt M               IR optimizer: off (default),\n"
-                 "                        on, or validated (prove each\n"
-                 "                        unit's optimization with the\n"
-                 "                        solver)\n"
-                 "  --compiled M          compiled-semantics replay:\n"
-                 "                        off (default), on, or\n"
-                 "                        crosscheck (run handler and\n"
-                 "                        interpreter, quarantine any\n"
-                 "                        divergence)\n"
                  "  --timing M            cycle-fidelity model: off\n"
                  "                        (default) or on (charge\n"
                  "                        cycles on every backend and\n"
@@ -125,6 +118,8 @@ main(int argc, char **argv)
 {
     CampaignOptions options;
     options.pipeline.max_paths_per_insn = 16;
+    options.pipeline.schedule = coverage::SchedulePolicy::PathCoverFirst;
+    options.pipeline.compiled = hifi::CompiledExec::On;
     bool print_coverage = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -179,50 +174,6 @@ main(int argc, char **argv)
                 return 2;
             }
             options.pipeline.max_paths_per_insn = n;
-        } else if (arg == "--schedule") {
-            const std::string policy = value();
-            if (policy == "pathcover") {
-                options.pipeline.schedule =
-                    coverage::SchedulePolicy::PathCoverFirst;
-            } else if (policy == "frontier") {
-                options.pipeline.schedule =
-                    coverage::SchedulePolicy::UncoveredEdgeFirst;
-            } else if (policy == "default") {
-                options.pipeline.schedule =
-                    coverage::SchedulePolicy::DefaultOrder;
-            } else {
-                std::fprintf(stderr,
-                             "bad --schedule (want pathcover|frontier|"
-                             "default)\n");
-                return 2;
-            }
-        } else if (arg == "--opt") {
-            const std::string mode = value();
-            if (mode == "off") {
-                options.pipeline.opt = analysis::OptMode::Off;
-            } else if (mode == "on") {
-                options.pipeline.opt = analysis::OptMode::On;
-            } else if (mode == "validated") {
-                options.pipeline.opt = analysis::OptMode::Validated;
-            } else {
-                std::fprintf(stderr,
-                             "bad --opt (want off|on|validated)\n");
-                return 2;
-            }
-        } else if (arg == "--compiled") {
-            const std::string mode = value();
-            if (mode == "off") {
-                options.pipeline.compiled = hifi::CompiledExec::Off;
-            } else if (mode == "on") {
-                options.pipeline.compiled = hifi::CompiledExec::On;
-            } else if (mode == "crosscheck") {
-                options.pipeline.compiled =
-                    hifi::CompiledExec::CrossCheck;
-            } else {
-                std::fprintf(
-                    stderr, "bad --compiled (want off|on|crosscheck)\n");
-                return 2;
-            }
         } else if (arg == "--timing") {
             const std::string mode = value();
             if (mode == "off") {

@@ -17,7 +17,9 @@
  * rep/repne-prefixed programs iterate on ECX; their validation pins
  * ECX <= 2 through preconditions so the joint exploration is
  * exhaustive and the verdict is a proof over that bounded subspace
- * (reported as "proven (ecx<=2)").
+ * (reported as "proven (ecx<=2)"). The environment lives in
+ * equiv_env.h, shared with semgen_check, which proves the compiled
+ * units the same way.
  *
  * Usage:
  *   ir_equiv --all          validate every program (default)
@@ -33,20 +35,16 @@
 #include <string>
 #include <vector>
 
-#include "analysis/equiv.h"
 #include "analysis/optimize.h"
 #include "arch/decoder.h"
 #include "arch/insn_table.h"
-#include "explore/state_spec.h"
-#include "harness/filter.h"
+#include "equiv_env.h"
 #include "hifi/semantics.h"
 #include "testgen/testgen.h"
 
 namespace {
 
 using namespace pokeemu;
-namespace E = ir::E;
-namespace layout = arch::layout;
 
 struct Options
 {
@@ -138,29 +136,13 @@ check_insn(int index, const explore::StateSpec &spec,
     row.exec_after = optimized.stats.exec_after;
 
     symexec::VarPool pool;
-    analysis::EquivOptions eq;
-    eq.max_paths = opt.max_paths;
-    eq.max_steps = opt.max_steps;
-    eq.preconditions = spec.preconditions(pool);
-    eq.eflags_addr = layout::kEflagsAddr;
-    eq.eflags_ignore_mask = harness::undefined_flags_mask(desc.op);
-    const symexec::InitialByteFn initial = spec.initial_fn(pool);
-    if (insn.rep || insn.repne) {
-        // Bound the iteration count so the joint path space is
-        // exhaustively explorable: ECX's high bytes are zero and its
-        // low byte is at most 2 in every validated initial state.
-        row.ecx_bounded = true;
-        const u32 ecx = layout::gpr_addr(1);
-        for (u32 k = 1; k < 4; ++k) {
-            eq.preconditions.push_back(
-                E::eq(initial(ecx + k), E::constant(8, 0)));
-        }
-        eq.preconditions.push_back(
-            E::ule(initial(ecx), E::constant(8, 2)));
-    }
+    tools::EquivEnv env = tools::equiv_env(insn, spec, pool);
+    env.options.max_paths = opt.max_paths;
+    env.options.max_steps = opt.max_steps;
+    row.ecx_bounded = env.ecx_bounded;
 
     const analysis::EquivResult res = analysis::validate_translation(
-        original, optimized.program, pool, initial, eq);
+        original, optimized.program, pool, env.initial, env.options);
     row.paths = res.original_paths;
     row.pairs = res.pairs_checked;
     row.queries = res.solver_queries;

@@ -12,8 +12,9 @@
  * expression DAGs become CSE'd locals, control flow becomes gotos,
  * memory stays behind ir::ConcreteMemory, and RunResult::steps counts
  * retired IR statements. It finally emits the dispatch table
- * (compiled_table) stamped with compiled_expected_hash() so a stale
- * generated file is detected at runtime.
+ * (compiled_table) stamped with compiled_expected_hash() so the
+ * stamp-checking ctests (semgen_crosscheck_all and friends) detect a
+ * stale generated file.
  *
  * Diagnostics: --list (unit inventory), --only <mnemonic|index>
  * (restrict emission/listing), --json (machine-readable summary).
@@ -505,7 +506,7 @@ main(int argc, char **argv)
     // Cycle-cost table (timing/cost_model.h), derived from the exact
     // programs compiled above; the triples are part of the staleness
     // hash, so editing the derivation rules without regenerating is
-    // refused like any other semantics change.
+    // caught like any other semantics change.
     out += "const timing::UnitCost g_costs[] = {\n";
     for (std::size_t i = 0; i < units.size(); ++i) {
         const timing::UnitCost cost =

@@ -10,8 +10,20 @@
  * machine state, with random immediate/displacement parameter values
  * poked for generic units — and must agree exactly on RunResult
  * (status, halt code, retired-statement count), the store journal,
- * and thrown-exception outcomes. Any divergence prints the unit and
- * state and exits nonzero, failing the semgen_crosscheck_all ctest.
+ * and thrown-exception outcomes.
+ *
+ * It then proves each unit's optimization: the unit is rebuilt with
+ * the optimizer off, re-optimized (which must print identically to the
+ * compiled program), and the (original, optimized) pair is proven
+ * equivalent by the translation validator in ir_equiv's environment
+ * (equiv_env.h) plus a symbolic param block, so generic units are
+ * proven for every immediate and displacement. ir_equiv_all proves the
+ * descriptor-summary builds of the canonical rows; this proves the
+ * generic-parameter programs — canonical and variant operand forms —
+ * that replay actually runs.
+ *
+ * Any divergence, counterexample or unproven unit prints the unit and
+ * exits nonzero, failing the semgen_crosscheck_all ctest.
  */
 #include <cstdio>
 #include <cstring>
@@ -19,7 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/optimize.h"
+#include "equiv_env.h"
 #include "hifi/compiled.h"
+#include "ir/printer.h"
+#include "testgen/testgen.h"
 
 using namespace pokeemu;
 using hifi::CompiledUnit;
@@ -101,6 +117,42 @@ describe(const Outcome &o)
                 o.journal.size());
 }
 
+/** Prove @p unit's optimization; returns "" or why it is not proven. */
+std::string
+prove_optimization(const CompiledUnit &unit,
+                   const explore::StateSpec &spec)
+{
+    hifi::SemanticsOptions options =
+        hifi::compiled_build_options(unit.params_ok);
+    options.opt = analysis::OptMode::Off;
+    const ir::Program original = hifi::build_semantics(unit.insn, options);
+    const ir::Program optimized =
+        analysis::optimize_program(original).program;
+    if (ir::to_string(optimized) != ir::to_string(unit.program))
+        return "re-optimized program differs from the compiled one";
+
+    symexec::VarPool pool;
+    tools::EquivEnv env = tools::equiv_env(unit.insn, spec, pool);
+    // Generic programs read immediate/displacement values from the
+    // param block, which the spec pins to zero: make them symbolic so
+    // the proof covers every parameter value.
+    env.initial = [spec_initial = env.initial, &pool](u32 addr) {
+        if (addr >= hifi::param_block::kImm &&
+            addr < hifi::param_block::kDisp + 4) {
+            return pool.get("param_" + std::to_string(addr), 8);
+        }
+        return spec_initial(addr);
+    };
+    const analysis::EquivResult res = analysis::validate_translation(
+        original, optimized, pool, env.initial, env.options);
+    if (!res.equivalent) {
+        return "counterexample\n" +
+            (res.counterexample ? res.counterexample->to_string(pool)
+                                : std::string());
+    }
+    return res.proven ? "" : "not proven (exploration incomplete)";
+}
+
 int
 usage(const char *argv0)
 {
@@ -155,9 +207,18 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // The pipeline's exploration environment (as in ir_equiv).
+    symexec::VarPool summary_pool;
+    const symexec::Summary summary =
+        hifi::summarize_descriptor_load(summary_pool);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(),
+                                  testgen::baseline_ram_after_init(),
+                                  &summary);
+
     u64 units_checked = 0;
     u64 runs = 0;
     u64 mismatches = 0;
+    u64 unproven = 0;
     for (std::size_t u = 0; u < units.size(); ++u) {
         const CompiledUnit &unit = units[u];
         const char *name = unit.insn.desc->mnemonic;
@@ -166,6 +227,13 @@ main(int argc, char **argv)
             continue;
         }
         ++units_checked;
+        const std::string proof = prove_optimization(unit, spec);
+        if (!proof.empty()) {
+            ++unproven;
+            std::printf("UNPROVEN unit %zu (%s%s, row %d): %s\n", u,
+                        name, unit.variant ? ", variant" : "",
+                        unit.insn.table_index, proof.c_str());
+        }
         for (u64 s = 0; s < states; ++s) {
             const u64 base = mix(seed ^ mix(u * 8192 + s));
             // Generic units read value parameters from the param
@@ -206,13 +274,16 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("semgen_check: %llu units, %llu runs, %llu mismatches\n",
+    std::printf("semgen_check: %llu units, %llu runs, %llu mismatches; "
+                "%llu/%llu optimizations proven\n",
                 static_cast<unsigned long long>(units_checked),
                 static_cast<unsigned long long>(runs),
-                static_cast<unsigned long long>(mismatches));
+                static_cast<unsigned long long>(mismatches),
+                static_cast<unsigned long long>(units_checked - unproven),
+                static_cast<unsigned long long>(units_checked));
     if (units_checked == 0) {
         std::fprintf(stderr, "semgen_check: no unit matched --only\n");
         return 1;
     }
-    return mismatches == 0 ? 0 : 1;
+    return mismatches == 0 && unproven == 0 ? 0 : 1;
 }
