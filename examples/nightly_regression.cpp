@@ -66,9 +66,9 @@ main(int argc, char **argv)
             argc > 3 && std::strcmp(argv[3], "--fixed") == 0;
         const lofi::BugConfig bugs =
             fixed ? lofi::BugConfig::none() : lofi::BugConfig{};
-        const ReplayStats stats = replay_corpus(tests, bugs);
+        const ExecutionTotals stats = replay_corpus(tests, bugs);
         std::printf("replayed %llu tests against the %s build:\n",
-                    static_cast<unsigned long long>(stats.tests),
+                    static_cast<unsigned long long>(stats.tests_executed),
                     fixed ? "patched" : "buggy");
         std::printf("  lofi differences: %llu\n",
                     static_cast<unsigned long long>(stats.lofi_diffs));

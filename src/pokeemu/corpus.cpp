@@ -1,10 +1,8 @@
 #include "pokeemu/corpus.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
-
-#include "harness/filter.h"
 
 namespace pokeemu {
 
@@ -58,6 +56,23 @@ hex_decode(const std::string &hex)
     return out;
 }
 
+std::optional<arch::DecodedInsn>
+decode_test_insn(const std::vector<u8> &code, u32 offset)
+{
+    if (offset >= code.size())
+        return std::nullopt;
+    u8 buf[arch::kMaxInsnLength] = {};
+    const std::size_t n = std::min<std::size_t>(arch::kMaxInsnLength,
+                                                code.size() - offset);
+    std::copy_n(code.begin() + offset, n, buf);
+    arch::DecodedInsn insn;
+    if (arch::decode(buf, arch::kMaxInsnLength, insn) !=
+        arch::DecodeStatus::Ok) {
+        return std::nullopt;
+    }
+    return insn;
+}
+
 void
 save_corpus(std::ostream &out, const std::vector<GeneratedTest> &tests)
 {
@@ -86,12 +101,16 @@ load_corpus(std::istream &in)
         if (!(in >> t.id >> t.test_insn_offset >> t.mnemonic >> hex))
             corpus_error("truncated entry");
         t.code = hex_decode(hex);
+        if (t.test_insn_offset >= t.code.size()) {
+            corpus_error("test " + std::to_string(t.id) +
+                         ": instruction offset outside its code");
+        }
         tests.push_back(std::move(t));
     }
     return tests;
 }
 
-ReplayStats
+ExecutionTotals
 replay_corpus(const std::vector<CorpusTest> &tests,
               const lofi::BugConfig &bugs)
 {
@@ -99,60 +118,25 @@ replay_corpus(const std::vector<CorpusTest> &tests,
     cfg.bugs = bugs;
     harness::TestRunner runner(cfg);
 
-    ReplayStats stats;
+    ExecutionTotals totals;
     harness::BackendRun hifi_run, lofi_run, hw_run;
     for (const CorpusTest &test : tests) {
+        const std::optional<arch::DecodedInsn> insn =
+            decode_test_insn(test.code, test.test_insn_offset);
+        if (!insn) {
+            corpus_error("test " + std::to_string(test.id) +
+                         ": test instruction does not decode");
+        }
         runner.run_one_into(harness::Backend::HiFi, test.code,
                             hifi_run);
         runner.run_one_into(harness::Backend::LoFi, test.code,
                             lofi_run);
         runner.run_one_into(harness::Backend::Hardware, test.code,
                             hw_run);
-        ++stats.tests;
-        if (hifi_run.timed_out || lofi_run.timed_out ||
-            hw_run.timed_out) {
-            ++stats.timeouts;
-            continue;
-        }
-        // Re-decode the test instruction for filtering/clustering.
-        arch::DecodedInsn insn;
-        u8 buf[arch::kMaxInsnLength] = {};
-        const std::size_t n = std::min<std::size_t>(
-            arch::kMaxInsnLength,
-            test.code.size() - test.test_insn_offset);
-        std::copy_n(test.code.begin() + test.test_insn_offset, n, buf);
-        const bool decoded =
-            arch::decode(buf, arch::kMaxInsnLength, insn) ==
-            arch::DecodeStatus::Ok;
-
-        const auto analyze = [&](const harness::BackendRun &run,
-                                 u64 &counter, bool cluster) {
-            const arch::SnapshotDiff diff =
-                arch::diff_snapshots(run.snapshot, hw_run.snapshot);
-            if (diff.empty())
-                return;
-            if (decoded) {
-                const auto filtered = harness::filter_undefined(
-                    insn, run.snapshot, hw_run.snapshot, diff);
-                if (filtered.fully_filtered()) {
-                    ++stats.filtered_undefined;
-                    return;
-                }
-                ++counter;
-                if (cluster) {
-                    stats.lofi_clusters.add(test.id, insn,
-                                            filtered.remaining,
-                                            run.snapshot,
-                                            hw_run.snapshot);
-                }
-                return;
-            }
-            ++counter;
-        };
-        analyze(lofi_run, stats.lofi_diffs, true);
-        analyze(hifi_run, stats.hifi_diffs, false);
+        totals.add_test(test.id, *insn, hifi_run, lofi_run, hw_run,
+                        cfg.timing);
     }
-    return stats;
+    return totals;
 }
 
 } // namespace pokeemu

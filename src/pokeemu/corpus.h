@@ -16,8 +16,8 @@
 #define POKEEMU_POKEEMU_CORPUS_H
 
 #include <iosfwd>
+#include <optional>
 
-#include "harness/cluster.h"
 #include "pokeemu/pipeline.h"
 
 namespace pokeemu {
@@ -41,30 +41,28 @@ std::string hex_encode(const std::vector<u8> &bytes);
 std::vector<u8> hex_decode(const std::string &hex);
 /// @}
 
+/** Re-decode the test instruction at @p offset of a persisted test
+ *  program (corpora and checkpoints keep only the bytes); nullopt
+ *  when the offset is out of range or the bytes do not decode. */
+std::optional<arch::DecodedInsn>
+decode_test_insn(const std::vector<u8> &code, u32 offset);
+
 /** Serialize @p tests to @p out. */
 void save_corpus(std::ostream &out,
                  const std::vector<GeneratedTest> &tests);
 
-/** Parse a corpus; throws std::logic_error on malformed input. */
+/** Parse a corpus; throws std::logic_error on malformed input,
+ *  including a test instruction offset outside its program. */
 std::vector<CorpusTest> load_corpus(std::istream &in);
-
-/** Result of replaying a corpus against one Lo-Fi configuration. */
-struct ReplayStats
-{
-    u64 tests = 0;
-    u64 lofi_diffs = 0;
-    u64 hifi_diffs = 0;
-    u64 filtered_undefined = 0;
-    u64 timeouts = 0;
-    harness::RootCauseClusterer lofi_clusters;
-};
 
 /**
  * Re-run every corpus test on the three backends with @p bugs seeded
- * into the Lo-Fi emulator (the "new emulator build" under regression).
+ * into the Lo-Fi emulator (the "new emulator build" under regression)
+ * and classify it exactly as the pipeline's stage 5 does. Throws
+ * std::logic_error when a test instruction does not decode.
  */
-ReplayStats replay_corpus(const std::vector<CorpusTest> &tests,
-                          const lofi::BugConfig &bugs);
+ExecutionTotals replay_corpus(const std::vector<CorpusTest> &tests,
+                              const lofi::BugConfig &bugs);
 
 } // namespace pokeemu
 

@@ -4,11 +4,11 @@
 #include <chrono>
 #include <iomanip>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
-#include "harness/filter.h"
+#include "pokeemu/corpus.h"
 #include "support/logging.h"
+#include "support/rng.h"
 #include "timing/cost_model.h"
 
 namespace pokeemu {
@@ -27,49 +27,10 @@ seconds_since(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** splitmix64-style fingerprint accumulation. */
-u64
-fp_mix(u64 x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 void
 fp_add(u64 &h, u64 v)
 {
-    h = fp_mix(h ^ fp_mix(v));
-}
-
-/** Fold one explored unit's coverage + truncation row into the
- *  campaign-level accounting (shared by fresh units and resume). */
-void
-account_unit_coverage(PipelineStats &stats, const CheckpointUnit &unit)
-{
-    stats.covered_blocks += unit.covered_blocks;
-    stats.total_blocks += unit.total_blocks;
-    stats.covered_edges += unit.covered_edges;
-    stats.total_edges += unit.total_edges;
-    ++stats.coverage_histogram[coverage::coverage_bucket(
-        unit.covered_blocks, unit.total_blocks)];
-    switch (unit.truncation) {
-      case coverage::TruncationReason::PathCap:
-        ++stats.truncated_path_cap;
-        break;
-      case coverage::TruncationReason::Deadline:
-        ++stats.truncated_deadline;
-        break;
-      case coverage::TruncationReason::StepLimit:
-        ++stats.truncated_step_limit;
-        break;
-      case coverage::TruncationReason::None:
-      case coverage::TruncationReason::SolverTimeout:
-        // None is not a truncation; SolverTimeout units never reach a
-        // CheckpointUnit (the ledger is their record).
-        break;
-    }
+    h = mix64(h ^ mix64(v));
 }
 
 } // namespace
@@ -121,6 +82,32 @@ options_fingerprint(const PipelineOptions &options)
     // deliberately stay out of the fingerprint, like all of them.)
     fp_add(h, static_cast<u64>(options.lofi_misbehavior));
     return h;
+}
+
+Workload
+resolve_workload(const PipelineOptions &options)
+{
+    Workload w;
+    if (!options.instruction_filter.empty()) {
+        w.order = options.instruction_filter;
+    } else {
+        const explore::InsnSetResult full =
+            explore::explore_instruction_set(
+                {3, 1u << 20, options.seed});
+        w.order.reserve(full.representatives.size());
+        for (const auto &[index, bytes] : full.representatives)
+            w.order.push_back(index);
+    }
+    if (options.max_instructions &&
+        w.order.size() > options.max_instructions) {
+        w.order.resize(options.max_instructions);
+    }
+    for (int index : w.order) {
+        w.insn_set.representatives[index] =
+            arch::canonical_encoding(index);
+    }
+    w.insn_set.candidate_sequences = w.order.size();
+    return w;
 }
 
 Pipeline::Pipeline(PipelineOptions options)
@@ -182,48 +169,26 @@ Pipeline::write_checkpoint()
 void
 Pipeline::restore_unit(const CheckpointUnit &unit, u64 &next_test_id)
 {
-    ++stats_.instructions_explored;
-    if (unit.complete)
-        ++stats_.instructions_complete;
-    if (unit.budget_incomplete)
-        ++stats_.budget_incomplete;
-    stats_.total_paths += unit.paths;
-    stats_.solver_queries += unit.solver_queries;
-    stats_.solver_cache_hits += unit.solver_cache_hits;
-    stats_.solver_cache_misses += unit.solver_cache_misses;
-    stats_.solver_queries_avoided += unit.solver_queries_avoided;
-    stats_.minimize_bits_before += unit.minimize_bits_before;
-    stats_.minimize_bits_after += unit.minimize_bits_after;
-    stats_.generation_failures += unit.generation_failures;
-    account_unit_coverage(stats_, unit);
-
+    stats_.add_unit(unit);
     for (const CheckpointTest &saved : unit.tests) {
-        GeneratedTest test;
-        test.id = saved.id;
-        test.table_index = saved.table_index;
         // Re-decode the test instruction from the program bytes (the
         // corpus-replay idiom); listing/gadget metadata is not
         // persisted, only what re-execution needs.
-        if (saved.test_insn_offset >= saved.code.size())
-            throw std::logic_error(
-                "checkpoint: test offset out of range");
-        u8 buf[arch::kMaxInsnLength] = {};
-        const std::size_t n = std::min<std::size_t>(
-            arch::kMaxInsnLength,
-            saved.code.size() - saved.test_insn_offset);
-        std::copy_n(saved.code.begin() + saved.test_insn_offset, n,
-                    buf);
-        if (arch::decode(buf, arch::kMaxInsnLength, test.insn) !=
-            arch::DecodeStatus::Ok) {
+        const std::optional<arch::DecodedInsn> insn =
+            decode_test_insn(saved.code, saved.test_insn_offset);
+        if (!insn) {
             throw std::logic_error(
                 "checkpoint: persisted test does not decode");
         }
+        GeneratedTest test;
+        test.id = saved.id;
+        test.table_index = saved.table_index;
+        test.insn = *insn;
         test.program.code = saved.code;
         test.program.test_insn_offset = saved.test_insn_offset;
         test.halt_code = saved.halt_code;
         next_test_id = std::max(next_test_id, saved.id + 1);
         tests_.push_back(std::move(test));
-        ++stats_.test_programs;
     }
     ++stats_.units_resumed;
 }
@@ -240,44 +205,10 @@ Pipeline::explore_and_generate()
         injector_.enabled() ? &injector_ : nullptr;
 
     // ---- Stage 1: instruction-set exploration (paper §3.2). ----
-    // When the caller names the instructions directly, the (costly)
-    // decoder exploration is skipped and canonical encodings are used;
-    // the full exploration result is memoized across Pipeline
-    // instances (it is deterministic for a given seed).
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::pair<int, std::vector<u8>>> selected;
-    if (!options_.instruction_filter.empty()) {
-        for (int index : options_.instruction_filter) {
-            selected.emplace_back(index,
-                                  arch::canonical_encoding(index));
-            stats_.insn_set.representatives[index] = selected.back()
-                                                         .second;
-        }
-        stats_.insn_set.candidate_sequences = selected.size();
-    } else {
-        // Shared across Pipeline instances — including ones running in
-        // concurrent shard workers — hence the lock.
-        static std::mutex memo_mutex;
-        static std::map<u64, explore::InsnSetResult> memo;
-        std::lock_guard<std::mutex> lock(memo_mutex);
-        auto it = memo.find(options_.seed);
-        if (it == memo.end()) {
-            it = memo.emplace(options_.seed,
-                              explore::explore_instruction_set(
-                                  {3, 1u << 20, options_.seed}))
-                     .first;
-        }
-        stats_.insn_set = it->second;
-        for (const auto &[index, bytes] :
-             stats_.insn_set.representatives) {
-            selected.emplace_back(index, bytes);
-        }
-    }
+    Workload workload = resolve_workload(options_);
+    stats_.insn_set = std::move(workload.insn_set);
     stats_.t_insn_exploration = seconds_since(t0);
-    if (options_.max_instructions &&
-        selected.size() > options_.max_instructions) {
-        selected.resize(options_.max_instructions);
-    }
 
     // ---- Stages 2+3: per-instruction exploration + generation. ----
     // Each instruction is one quarantinable unit of work: a fault in
@@ -329,7 +260,7 @@ Pipeline::explore_and_generate()
 
     u32 units_since_checkpoint = 0;
     u32 fresh_units = 0;
-    for (const auto &[index, bytes] : selected) {
+    for (int index : workload.order) {
         if (resumed_ && resumed_->find_unit(index))
             continue; // Restored above.
 
@@ -346,6 +277,8 @@ Pipeline::explore_and_generate()
         }
         ++fresh_units;
 
+        const std::vector<u8> &bytes =
+            stats_.insn_set.representatives.at(index);
         arch::DecodedInsn insn;
         const auto status =
             arch::decode(bytes.data(), bytes.size(), insn);
@@ -451,23 +384,6 @@ Pipeline::explore_and_generate()
         cu.cost_mem_accesses = unit_cost.mem_accesses;
         cu.cost_fault_extra = unit_cost.fault_extra;
 
-        ++stats_.instructions_explored;
-        if (explored.stats.complete)
-            ++stats_.instructions_complete;
-        if (explored.stats.deadline_expired)
-            ++stats_.budget_incomplete;
-        stats_.total_paths += explored.stats.paths;
-        stats_.solver_queries += explored.stats.solver_queries;
-        stats_.solver_cache_hits += cu.solver_cache_hits;
-        stats_.solver_cache_misses += cu.solver_cache_misses;
-        stats_.solver_queries_avoided +=
-            explored.stats.solver_queries_avoided;
-        stats_.minimize_bits_before +=
-            explored.minimize.bits_different_before;
-        stats_.minimize_bits_after +=
-            explored.minimize.bits_different_after;
-        account_unit_coverage(stats_, cu);
-
         // Stage 3: one test program per path (paper Figure 1(3)).
         // Each test's generation is its own quarantinable unit.
         t0 = std::chrono::steady_clock::now();
@@ -488,7 +404,6 @@ Pipeline::explore_and_generate()
                 continue;
             }
             if (gen->status != testgen::GenStatus::Ok) {
-                ++stats_.generation_failures;
                 ++cu.generation_failures;
                 continue;
             }
@@ -508,10 +423,10 @@ Pipeline::explore_and_generate()
             cu.tests.push_back(std::move(saved));
 
             tests_.push_back(std::move(test));
-            ++stats_.test_programs;
         }
         stats_.t_generation += seconds_since(t0);
 
+        stats_.add_unit(cu);
         checkpoint_.explored.push_back(std::move(cu));
         if (++units_since_checkpoint >=
             res.checkpoint_every_units) {
@@ -550,53 +465,15 @@ Pipeline::execute_and_compare()
     // tests; restore them and skip that prefix.
     std::size_t start = 0;
     if (resumed_ && resumed_->execution.executed_count > 0) {
-        const CheckpointExecution &e = resumed_->execution;
-        start = static_cast<std::size_t>(
-            std::min<u64>(e.executed_count, tests_.size()));
-        stats_.tests_executed = e.tests_executed;
-        stats_.lofi_raw_diffs = e.lofi_raw_diffs;
-        stats_.hifi_raw_diffs = e.hifi_raw_diffs;
-        stats_.lofi_diffs = e.lofi_diffs;
-        stats_.hifi_diffs = e.hifi_diffs;
-        stats_.filtered_undefined = e.filtered_undefined;
-        stats_.timeouts = e.timeouts;
-        stats_.hifi_timeouts = e.hifi_timeouts;
-        stats_.lofi_timeouts = e.lofi_timeouts;
-        stats_.hw_timeouts = e.hw_timeouts;
-        stats_.hifi_cycles = e.hifi_cycles;
-        stats_.lofi_cycles = e.lofi_cycles;
-        stats_.hw_cycles = e.hw_cycles;
-        stats_.lofi_timing_divergences = e.lofi_timing_divergences;
-        stats_.hifi_timing_divergences = e.hifi_timing_divergences;
-        stats_.lofi_clusters = e.lofi_clusters;
-        stats_.hifi_clusters = e.hifi_clusters;
-        stats_.lofi_timing_clusters = e.lofi_timing_clusters;
-        stats_.hifi_timing_clusters = e.hifi_timing_clusters;
+        start = static_cast<std::size_t>(std::min<u64>(
+            resumed_->execution.executed_count, tests_.size()));
+        static_cast<ExecutionTotals &>(stats_) = resumed_->execution;
         stats_.tests_resumed = start;
     }
 
     const auto sync_execution = [&](std::size_t executed_count) {
-        CheckpointExecution &e = checkpoint_.execution;
-        e.executed_count = executed_count;
-        e.tests_executed = stats_.tests_executed;
-        e.lofi_raw_diffs = stats_.lofi_raw_diffs;
-        e.hifi_raw_diffs = stats_.hifi_raw_diffs;
-        e.lofi_diffs = stats_.lofi_diffs;
-        e.hifi_diffs = stats_.hifi_diffs;
-        e.filtered_undefined = stats_.filtered_undefined;
-        e.timeouts = stats_.timeouts;
-        e.hifi_timeouts = stats_.hifi_timeouts;
-        e.lofi_timeouts = stats_.lofi_timeouts;
-        e.hw_timeouts = stats_.hw_timeouts;
-        e.hifi_cycles = stats_.hifi_cycles;
-        e.lofi_cycles = stats_.lofi_cycles;
-        e.hw_cycles = stats_.hw_cycles;
-        e.lofi_timing_divergences = stats_.lofi_timing_divergences;
-        e.hifi_timing_divergences = stats_.hifi_timing_divergences;
-        e.lofi_clusters = stats_.lofi_clusters;
-        e.hifi_clusters = stats_.hifi_clusters;
-        e.lofi_timing_clusters = stats_.lofi_timing_clusters;
-        e.hifi_timing_clusters = stats_.hifi_timing_clusters;
+        checkpoint_.execution.executed_count = executed_count;
+        static_cast<ExecutionTotals &>(checkpoint_.execution) = stats_;
     };
 
     // Reused across tests: fresh 4 MiB snapshot allocations per test
@@ -648,85 +525,10 @@ Pipeline::execute_and_compare()
         }
 
         if (!exec_faulted) {
-            ++stats_.tests_executed;
-            stats_.hifi_timeouts += hifi_run.timed_out;
-            stats_.lofi_timeouts += lofi_run.timed_out;
-            stats_.hw_timeouts += hw_run.timed_out;
-            // Cycle totals over every executed test (all zero with
-            // timing off: no backend ever charges then).
-            stats_.hifi_cycles += hifi_run.snapshot.cycles;
-            stats_.lofi_cycles += lofi_run.snapshot.cycles;
-            stats_.hw_cycles += hw_run.snapshot.cycles;
-
-            if (hw_run.timed_out) {
-                // No oracle to compare against: excluded entirely.
-                ++stats_.timeouts;
-            } else {
-                auto t0 = std::chrono::steady_clock::now();
-                const auto analyze =
-                    [&](const harness::BackendRun &run, u64 &raw,
-                        u64 &real, harness::RootCauseClusterer &cl,
-                        u64 &timing_div,
-                        harness::RootCauseClusterer &timing_cl,
-                        const char *backend) {
-                        if (run.timed_out) {
-                            // A timeout on one backend is its own
-                            // root cause — comparing its (mid-flight)
-                            // snapshot against hardware would report
-                            // a spurious state diff.
-                            ++raw;
-                            ++real;
-                            cl.add_named(
-                                test.id, test.insn,
-                                std::string("timeout-only-") +
-                                    backend);
-                            return;
-                        }
-                        const arch::SnapshotDiff diff =
-                            arch::diff_snapshots(run.snapshot,
-                                                 hw_run.snapshot);
-                        bool state_clean = diff.empty();
-                        if (!diff.empty()) {
-                            ++raw;
-                            const harness::FilterResult filtered =
-                                harness::filter_undefined(
-                                    test.insn, run.snapshot,
-                                    hw_run.snapshot, diff);
-                            if (filtered.fully_filtered()) {
-                                ++stats_.filtered_undefined;
-                                state_clean = true;
-                            } else {
-                                ++real;
-                                cl.add(test.id, test.insn,
-                                       filtered.remaining,
-                                       run.snapshot, hw_run.snapshot);
-                            }
-                        }
-                        // TimingDivergence (DESIGN.md §16): compared
-                        // only on runs whose architectural state is
-                        // otherwise clean, so timing clusters never
-                        // overlap state-diff or timeout clusters.
-                        if (options_.timing && state_clean &&
-                            run.snapshot.cycles !=
-                                hw_run.snapshot.cycles) {
-                            ++timing_div;
-                            timing_cl.add_named(
-                                test.id, test.insn,
-                                timing::divergence_label(
-                                    hw_run.snapshot.cycles,
-                                    run.snapshot.cycles, backend));
-                        }
-                    };
-                analyze(lofi_run, stats_.lofi_raw_diffs,
-                        stats_.lofi_diffs, stats_.lofi_clusters,
-                        stats_.lofi_timing_divergences,
-                        stats_.lofi_timing_clusters, "lofi");
-                analyze(hifi_run, stats_.hifi_raw_diffs,
-                        stats_.hifi_diffs, stats_.hifi_clusters,
-                        stats_.hifi_timing_divergences,
-                        stats_.hifi_timing_clusters, "hifi");
-                stats_.t_comparison += seconds_since(t0);
-            }
+            const auto t0 = std::chrono::steady_clock::now();
+            stats_.add_test(test.id, test.insn, hifi_run, lofi_run,
+                            hw_run, options_.timing);
+            stats_.t_comparison += seconds_since(t0);
         }
 
         done = i + 1;
@@ -764,37 +566,58 @@ PipelineStats::truncated_solver_timeout() const
     return n;
 }
 
+void
+PipelineStats::add_unit(const CheckpointUnit &unit)
+{
+    ++instructions_explored;
+    instructions_complete += unit.complete;
+    budget_incomplete += unit.budget_incomplete;
+    total_paths += unit.paths;
+    solver_queries += unit.solver_queries;
+    solver_cache_hits += unit.solver_cache_hits;
+    solver_cache_misses += unit.solver_cache_misses;
+    solver_queries_avoided += unit.solver_queries_avoided;
+    minimize_bits_before += unit.minimize_bits_before;
+    minimize_bits_after += unit.minimize_bits_after;
+    covered_blocks += unit.covered_blocks;
+    total_blocks += unit.total_blocks;
+    covered_edges += unit.covered_edges;
+    total_edges += unit.total_edges;
+    ++coverage_histogram[coverage::coverage_bucket(unit.covered_blocks,
+                                                   unit.total_blocks)];
+    switch (unit.truncation) {
+      case coverage::TruncationReason::PathCap:
+        ++truncated_path_cap;
+        break;
+      case coverage::TruncationReason::Deadline:
+        ++truncated_deadline;
+        break;
+      case coverage::TruncationReason::StepLimit:
+        ++truncated_step_limit;
+        break;
+      case coverage::TruncationReason::None:
+      case coverage::TruncationReason::SolverTimeout:
+        // None is not a truncation; SolverTimeout units never reach a
+        // CheckpointUnit (the ledger is their record).
+        break;
+    }
+    test_programs += unit.tests.size();
+    generation_failures += unit.generation_failures;
+}
+
 std::string
 PipelineStats::to_string() const
 {
     std::ostringstream os;
-    os << "== PokeEMU pipeline ==\n";
-    os << "stage 1 (instruction-set exploration): "
-       << insn_set.candidate_sequences << " candidate sequences -> "
-       << insn_set.representatives.size() << " unique instructions ("
-       << t_insn_exploration << "s)\n";
-    os << "stage 2 (state exploration): " << instructions_explored
-       << " instructions, " << total_paths << " paths, "
-       << instructions_complete << " with complete path coverage ("
-       << t_state_exploration << "s, "
-       << solver_queries + solver_queries_avoided
-       << " solver queries)\n";
-    if (solver_queries_avoided) {
-        os << "static pruning: " << solver_queries_avoided
-           << " of those probes decided without the solver\n";
-    }
-    if (solver_cache_hits || solver_cache_misses) {
-        const double rate = static_cast<double>(solver_cache_hits) /
-            static_cast<double>(solver_cache_hits +
-                                solver_cache_misses);
-        os << "solver memo: " << solver_cache_hits << " hits, "
-           << solver_cache_misses << " misses (" << std::fixed
-           << std::setprecision(1) << rate * 100.0 << "% hit rate)\n"
-           << std::defaultfloat << std::setprecision(6);
-    }
-    if (budget_retries || budget_incomplete) {
-        os << "budgets: " << budget_retries << " escalated retries, "
-           << budget_incomplete << " instructions budget-incomplete\n";
+    os << "== PokeEMU campaign ==\n";
+    os << "workload: " << insn_set.candidate_sequences
+       << " instructions\n";
+    os << "explored: " << instructions_explored << " instructions, "
+       << total_paths << " paths, " << instructions_complete
+       << " with complete path coverage\n";
+    if (budget_incomplete) {
+        os << "budget-incomplete: " << budget_incomplete
+           << " instructions\n";
     }
     if (total_blocks != 0) {
         const auto pct = [](u64 covered, u64 total) {
@@ -822,38 +645,42 @@ PipelineStats::to_string() const
            << truncated_step_limit << ", solver-timeout "
            << truncated_solver_timeout() << "\n";
     }
+    // Print queries + avoided: the sum is invariant across prune
+    // modes, so the report stays byte-identical whichever mode ran.
+    os << "solver: " << solver_queries + solver_queries_avoided
+       << " queries; memo " << solver_cache_hits << " hits, "
+       << solver_cache_misses << " misses";
+    const u64 memo_total = solver_cache_hits + solver_cache_misses;
+    if (memo_total != 0) {
+        const double rate = static_cast<double>(solver_cache_hits) /
+            static_cast<double>(memo_total);
+        os << " (" << std::fixed << std::setprecision(1)
+           << rate * 100.0 << "% hit rate)" << std::defaultfloat
+           << std::setprecision(6);
+    }
+    os << "\n";
     os << "minimization: " << minimize_bits_before
        << " differing bits -> " << minimize_bits_after << "\n";
-    os << "stage 3 (test generation): " << test_programs
-       << " test programs, " << generation_failures << " failures ("
-       << t_generation << "s)\n";
-    os << "stage 4 (execution): " << tests_executed << " tests ("
-       << "hifi " << t_execution_hifi << "s, lofi " << t_execution_lofi
-       << "s, hw " << t_execution_hw << "s), " << timeouts
+    os << "test programs: " << test_programs << " ("
+       << generation_failures << " generation failures)\n";
+    os << "tests executed: " << tests_executed << ", " << timeouts
        << " excluded by oracle timeout (timed out: hifi "
        << hifi_timeouts << ", lofi " << lofi_timeouts << ", hw "
        << hw_timeouts << ")\n";
-    os << "stage 5 (comparison, " << t_comparison << "s):\n";
-    os << "  lofi vs hw: " << lofi_raw_diffs << " raw, " << lofi_diffs
+    os << "lofi vs hw: " << lofi_raw_diffs << " raw, " << lofi_diffs
        << " after undefined-behaviour filtering\n";
-    os << "  hifi vs hw: " << hifi_raw_diffs << " raw, " << hifi_diffs
+    os << "hifi vs hw: " << hifi_raw_diffs << " raw, " << hifi_diffs
        << " after filtering\n";
-    os << "  " << filtered_undefined
+    os << filtered_undefined
        << " differences were entirely undefined behaviour\n";
     // Timing lines are gated on nonzero totals so a timing-off report
-    // is byte-identical to one from a build without the subsystem.
+    // is byte-identical to a pre-timing one.
     if (hifi_cycles || lofi_cycles || hw_cycles) {
         os << "cycle totals: hifi " << hifi_cycles << ", lofi "
            << lofi_cycles << ", hw " << hw_cycles << "\n";
         os << "timing divergences: lofi " << lofi_timing_divergences
            << ", hifi " << hifi_timing_divergences << "\n";
     }
-    if (units_resumed || tests_resumed) {
-        os << "resume: " << units_resumed << " instructions and "
-           << tests_resumed << " executed tests from checkpoint\n";
-    }
-    if (checkpoints_written)
-        os << "checkpoints written: " << checkpoints_written << "\n";
     if (quarantine.total() != 0)
         os << quarantine.to_string();
     os << "lofi root causes:\n" << lofi_clusters.to_string();

@@ -102,8 +102,25 @@ struct PipelineOptions
  */
 u64 options_fingerprint(const PipelineOptions &options);
 
-/** Everything a pipeline run measures (feeds EXPERIMENTS.md). */
-struct PipelineStats
+/** A run's instruction list and the (canonical-encoding) stage-1
+ *  summary every campaign layout reports identically. */
+struct Workload
+{
+    std::vector<int> order;
+    explore::InsnSetResult insn_set;
+};
+
+/**
+ * Stage 1 (paper §3.2): the instruction filter as given, or else the
+ * representatives of a decoder exploration; capped at
+ * max_instructions. Every instruction is explored at its canonical
+ * encoding, so every shard layout explores identical bytes.
+ */
+Workload resolve_workload(const PipelineOptions &options);
+
+/** Everything a pipeline run measures (feeds EXPERIMENTS.md); the
+ *  stage-4/5 counters and clusters are the ExecutionTotals base. */
+struct PipelineStats : ExecutionTotals
 {
     // Stage 1.
     explore::InsnSetResult insn_set;
@@ -139,44 +156,13 @@ struct PipelineStats
     // Stage 3.
     u64 test_programs = 0;
     u64 generation_failures = 0;
-    // Stage 4+5.
-    u64 tests_executed = 0;
+    // Stage 4.
     /** Compiled-dispatch accounting (hifi/compiled.h): instructions
      *  retired by a generated handler vs. interpreter fallbacks.
      *  Deliberately absent from to_string() so reports stay
      *  byte-identical across CompiledExec modes. */
     u64 compiled_hits = 0;
     u64 compiled_misses = 0;
-    u64 lofi_raw_diffs = 0;  ///< Lo-Fi vs hardware, before filtering.
-    u64 hifi_raw_diffs = 0;  ///< Hi-Fi vs hardware, before filtering.
-    u64 lofi_diffs = 0;      ///< After undefined-behaviour filtering.
-    u64 hifi_diffs = 0;
-    u64 filtered_undefined = 0;
-    /** Tests excluded from comparison: the hardware oracle timed out.
-     *  A timeout on a single emulator backend is NOT counted here —
-     *  it is classified as its own root-cause cluster
-     *  ("timeout-only-<backend>"). */
-    u64 timeouts = 0;
-    u64 hifi_timeouts = 0; ///< Per-backend timed_out totals.
-    u64 lofi_timeouts = 0;
-    u64 hw_timeouts = 0;
-    /** Cycle accounting (PipelineOptions::timing; all zero when off).
-     *  Totals are summed over executed tests; divergences count tests
-     *  whose architectural state matched hardware (after filtering)
-     *  but whose cycle total did not — the TimingDivergence class,
-     *  disjoint by construction from state diffs and timeouts. */
-    u64 hifi_cycles = 0;
-    u64 lofi_cycles = 0;
-    u64 hw_cycles = 0;
-    u64 lofi_timing_divergences = 0;
-    u64 hifi_timing_divergences = 0;
-    harness::RootCauseClusterer lofi_clusters;
-    harness::RootCauseClusterer hifi_clusters;
-    /** TimingDivergence clusters (ratio buckets, timing/cost_model.h);
-     *  kept apart from the state-diff clusterers above so timing and
-     *  state root causes never share a table. */
-    harness::RootCauseClusterer lofi_timing_clusters;
-    harness::RootCauseClusterer hifi_timing_clusters;
     // Fault isolation.
     support::QuarantineReport quarantine;
     u64 budget_retries = 0;    ///< Units granted an escalated retry.
@@ -198,6 +184,11 @@ struct PipelineStats
     double t_execution_hw = 0;
     double t_comparison = 0;
 
+    /** Fold one explored stage-2/3 unit into the totals: fresh units,
+     *  units restored from a checkpoint, and the campaign merge all
+     *  count through here. */
+    void add_unit(const CheckpointUnit &unit);
+
     /** Stage-2 units whose exploration a solver timeout cut short
      *  (they carry no CheckpointUnit; the quarantine ledger is the
      *  durable record, so the count is derived from it). */
@@ -210,6 +201,13 @@ struct PipelineStats
             truncated_step_limit || truncated_solver_timeout();
     }
 
+    /**
+     * The deterministic report: counts, coverage, quarantine ledger
+     * and root causes. Timings and the session-scoped counters
+     * (budget_retries, units_resumed, tests_resumed,
+     * checkpoints_written) stay out of it, so a merged campaign prints
+     * the same text for any shard count, session slicing or resume.
+     */
     std::string to_string() const;
 };
 

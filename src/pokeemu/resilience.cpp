@@ -6,7 +6,9 @@
 #include <ostream>
 #include <sstream>
 
+#include "harness/runner.h"
 #include "pokeemu/corpus.h"
+#include "timing/cost_model.h"
 
 namespace pokeemu {
 
@@ -55,7 +57,109 @@ hex_decode_string(const std::string &hex)
     return std::string(bytes.begin(), bytes.end());
 }
 
+/** The checkpoint's `counters` row in v6 file order; merge sums the
+ *  same list. */
+constexpr u64 ExecutionTotals::*kCounters[] = {
+    &ExecutionTotals::tests_executed,
+    &ExecutionTotals::lofi_raw_diffs,
+    &ExecutionTotals::hifi_raw_diffs,
+    &ExecutionTotals::lofi_diffs,
+    &ExecutionTotals::hifi_diffs,
+    &ExecutionTotals::filtered_undefined,
+    &ExecutionTotals::timeouts,
+    &ExecutionTotals::hifi_timeouts,
+    &ExecutionTotals::lofi_timeouts,
+    &ExecutionTotals::hw_timeouts,
+    &ExecutionTotals::hifi_cycles,
+    &ExecutionTotals::lofi_cycles,
+    &ExecutionTotals::hw_cycles,
+    &ExecutionTotals::lofi_timing_divergences,
+    &ExecutionTotals::hifi_timing_divergences,
+};
+
 } // namespace
+
+void
+ExecutionTotals::add_test(u64 id, const arch::DecodedInsn &insn,
+                          const harness::BackendRun &hifi,
+                          const harness::BackendRun &lofi,
+                          const harness::BackendRun &hw, bool timing)
+{
+    ++tests_executed;
+    hifi_timeouts += hifi.timed_out;
+    lofi_timeouts += lofi.timed_out;
+    hw_timeouts += hw.timed_out;
+    // Cycle totals over every executed test (all zero with timing off:
+    // no backend ever charges then).
+    hifi_cycles += hifi.snapshot.cycles;
+    lofi_cycles += lofi.snapshot.cycles;
+    hw_cycles += hw.snapshot.cycles;
+    if (hw.timed_out) {
+        // No oracle to compare against: excluded entirely.
+        ++timeouts;
+        return;
+    }
+    const auto analyze = [&](const harness::BackendRun &run, u64 &raw,
+                             u64 &real, harness::RootCauseClusterer &cl,
+                             u64 &timing_div,
+                             harness::RootCauseClusterer &timing_cl,
+                             const char *backend) {
+        if (run.timed_out) {
+            // A timeout on one backend is its own root cause —
+            // comparing its (mid-flight) snapshot against hardware
+            // would report a spurious state diff.
+            ++raw;
+            ++real;
+            cl.add_named(id, insn,
+                         std::string("timeout-only-") + backend);
+            return;
+        }
+        const arch::SnapshotDiff diff =
+            arch::diff_snapshots(run.snapshot, hw.snapshot);
+        bool state_clean = diff.empty();
+        if (!diff.empty()) {
+            ++raw;
+            const harness::FilterResult filtered =
+                harness::filter_undefined(insn, run.snapshot,
+                                          hw.snapshot, diff);
+            if (filtered.fully_filtered()) {
+                ++filtered_undefined;
+                state_clean = true;
+            } else {
+                ++real;
+                cl.add(id, insn, filtered.remaining, run.snapshot,
+                       hw.snapshot);
+            }
+        }
+        // TimingDivergence (DESIGN.md §16): compared only on runs whose
+        // architectural state is otherwise clean, so timing clusters
+        // never overlap state-diff or timeout clusters.
+        if (timing && state_clean &&
+            run.snapshot.cycles != hw.snapshot.cycles) {
+            ++timing_div;
+            timing_cl.add_named(
+                id, insn,
+                timing::divergence_label(hw.snapshot.cycles,
+                                         run.snapshot.cycles, backend));
+        }
+    };
+    analyze(lofi, lofi_raw_diffs, lofi_diffs, lofi_clusters,
+            lofi_timing_divergences, lofi_timing_clusters, "lofi");
+    analyze(hifi, hifi_raw_diffs, hifi_diffs, hifi_clusters,
+            hifi_timing_divergences, hifi_timing_clusters, "hifi");
+}
+
+void
+ExecutionTotals::merge(const ExecutionTotals &other,
+                       const std::function<u64(u64)> &remap)
+{
+    for (u64 ExecutionTotals::*counter : kCounters)
+        this->*counter += other.*counter;
+    lofi_clusters.merge(other.lofi_clusters, remap);
+    hifi_clusters.merge(other.hifi_clusters, remap);
+    lofi_timing_clusters.merge(other.lofi_timing_clusters, remap);
+    hifi_timing_clusters.merge(other.hifi_timing_clusters, remap);
+}
 
 const CheckpointUnit *
 Checkpoint::find_unit(int table_index) const
@@ -96,14 +200,10 @@ save_checkpoint(std::ostream &out, const Checkpoint &checkpoint)
     }
     const CheckpointExecution &e = checkpoint.execution;
     out << "executed " << e.executed_count << "\n";
-    out << "counters " << e.tests_executed << " " << e.lofi_raw_diffs
-        << " " << e.hifi_raw_diffs << " " << e.lofi_diffs << " "
-        << e.hifi_diffs << " " << e.filtered_undefined << " "
-        << e.timeouts << " " << e.hifi_timeouts << " "
-        << e.lofi_timeouts << " " << e.hw_timeouts << " "
-        << e.hifi_cycles << " " << e.lofi_cycles << " "
-        << e.hw_cycles << " " << e.lofi_timing_divergences << " "
-        << e.hifi_timing_divergences << "\n";
+    out << "counters";
+    for (u64 ExecutionTotals::*counter : kCounters)
+        out << " " << e.*counter;
+    out << "\n";
     e.lofi_clusters.save(out);
     e.hifi_clusters.save(out);
     e.lofi_timing_clusters.save(out);
@@ -184,13 +284,9 @@ load_checkpoint(std::istream &in)
     if (!(in >> e.executed_count))
         checkpoint_error("bad executed count");
     expect_tag(in, "counters");
-    if (!(in >> e.tests_executed >> e.lofi_raw_diffs >>
-          e.hifi_raw_diffs >> e.lofi_diffs >> e.hifi_diffs >>
-          e.filtered_undefined >> e.timeouts >> e.hifi_timeouts >>
-          e.lofi_timeouts >> e.hw_timeouts >> e.hifi_cycles >>
-          e.lofi_cycles >> e.hw_cycles >>
-          e.lofi_timing_divergences >> e.hifi_timing_divergences)) {
-        checkpoint_error("truncated counters row");
+    for (u64 ExecutionTotals::*counter : kCounters) {
+        if (!(in >> e.*counter))
+            checkpoint_error("truncated counters row");
     }
     e.lofi_clusters.load(in);
     e.hifi_clusters.load(in);

@@ -22,6 +22,7 @@
 #ifndef POKEEMU_POKEEMU_RESILIENCE_H
 #define POKEEMU_POKEEMU_RESILIENCE_H
 
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -32,6 +33,10 @@
 #include "support/fault.h"
 
 namespace pokeemu {
+
+namespace harness {
+struct BackendRun;
+}
 
 /** Deadlines for the expensive per-unit work; 0 = unlimited. */
 struct BudgetOptions
@@ -136,23 +141,33 @@ struct CheckpointUnit
     std::vector<CheckpointTest> tests;
 };
 
-/** Stage-4/5 progress: counters and clusters over the first
- *  `executed_count` generated tests (execution is in test order). */
-struct CheckpointExecution
+/**
+ * Stage-4/5 results (paper §5-§6.2): counters and root-cause clusters
+ * over executed tests. The one record behind PipelineStats, the
+ * checkpoint's `counters` row, the campaign merge and corpus replay,
+ * so a test is classified the same way wherever it runs.
+ */
+struct ExecutionTotals
 {
-    u64 executed_count = 0;
     u64 tests_executed = 0;
-    u64 lofi_raw_diffs = 0;
-    u64 hifi_raw_diffs = 0;
-    u64 lofi_diffs = 0;
+    u64 lofi_raw_diffs = 0; ///< Lo-Fi vs hardware, before filtering.
+    u64 hifi_raw_diffs = 0; ///< Hi-Fi vs hardware, before filtering.
+    u64 lofi_diffs = 0;     ///< After undefined-behaviour filtering.
     u64 hifi_diffs = 0;
     u64 filtered_undefined = 0;
+    /** Tests excluded from comparison: the hardware oracle timed out.
+     *  A timeout on a single emulator backend is NOT counted here —
+     *  it is classified as its own root-cause cluster
+     *  ("timeout-only-<backend>"). */
     u64 timeouts = 0;
-    u64 hifi_timeouts = 0;
+    u64 hifi_timeouts = 0; ///< Per-backend timed_out totals.
     u64 lofi_timeouts = 0;
     u64 hw_timeouts = 0;
-    /** Cycle-accounting columns (v5); all zero when the campaign ran
-     *  with timing off. */
+    /** Cycle accounting (PipelineOptions::timing; all zero when off).
+     *  Totals are summed over executed tests; divergences count tests
+     *  whose architectural state matched hardware (after filtering)
+     *  but whose cycle total did not — the TimingDivergence class,
+     *  disjoint by construction from state diffs and timeouts. */
     u64 hifi_cycles = 0;
     u64 lofi_cycles = 0;
     u64 hw_cycles = 0;
@@ -160,10 +175,36 @@ struct CheckpointExecution
     u64 hifi_timing_divergences = 0;
     harness::RootCauseClusterer lofi_clusters;
     harness::RootCauseClusterer hifi_clusters;
-    /** TimingDivergence clusters (v5), apart from the state-diff
-     *  clusterers above exactly as in PipelineStats. */
+    /** TimingDivergence clusters (ratio buckets, timing/cost_model.h);
+     *  kept apart from the state-diff clusterers above so timing and
+     *  state root causes never share a table. */
     harness::RootCauseClusterer lofi_timing_clusters;
     harness::RootCauseClusterer hifi_timing_clusters;
+
+    /**
+     * Count and classify one test's three-way execution: diff each
+     * emulator against hardware, filter undefined behaviour, cluster
+     * what remains. A hardware timeout excludes the test; a timeout on
+     * one emulator is its own "timeout-only-<backend>" root cause.
+     * With @p timing, a run whose state is clean but whose cycle total
+     * differs from hardware's is a TimingDivergence.
+     */
+    void add_test(u64 id, const arch::DecodedInsn &insn,
+                  const harness::BackendRun &hifi,
+                  const harness::BackendRun &lofi,
+                  const harness::BackendRun &hw, bool timing);
+
+    /** Add @p other's counters and clusters; its test ids pass
+     *  through @p remap first. */
+    void merge(const ExecutionTotals &other,
+               const std::function<u64(u64)> &remap);
+};
+
+/** Stage-4/5 progress: the results over the first `executed_count`
+ *  generated tests (execution is in test order). */
+struct CheckpointExecution : ExecutionTotals
+{
+    u64 executed_count = 0;
 };
 
 /** A pipeline run's persisted progress. */

@@ -5,12 +5,12 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <map>
 #include <sstream>
 #include <thread>
 
 #include "support/logging.h"
+#include "support/rng.h"
 
 namespace pokeemu {
 
@@ -30,16 +30,6 @@ seconds_since(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/** splitmix64 finalizer (the fingerprint mixer used repo-wide). */
-u64
-mix64(u64 x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 /** Campaign identity: the resolved pipeline options plus the layout. */
@@ -103,43 +93,6 @@ read_manifest(const std::string &path)
     if (!(in >> tag >> m.shards) || tag != "shards")
         campaign_error("'" + path + "' has a bad shards row");
     return m;
-}
-
-/** The campaign's instruction list and the (canonical-encoding)
- *  instruction-set summary every layout reports identically. */
-struct Workload
-{
-    std::vector<int> order;
-    explore::InsnSetResult insn_set;
-};
-
-Workload
-resolve_workload(const PipelineOptions &pipeline)
-{
-    Workload w;
-    if (!pipeline.instruction_filter.empty()) {
-        w.order = pipeline.instruction_filter;
-    } else {
-        // Stage 1 runs once, driver-side; workers then receive their
-        // slice as an explicit filter (and therefore all use canonical
-        // encodings — every layout explores identical bytes).
-        const explore::InsnSetResult full =
-            explore::explore_instruction_set(
-                {3, 1u << 20, pipeline.seed});
-        w.order.reserve(full.representatives.size());
-        for (const auto &[index, bytes] : full.representatives)
-            w.order.push_back(index);
-    }
-    if (pipeline.max_instructions &&
-        w.order.size() > pipeline.max_instructions) {
-        w.order.resize(pipeline.max_instructions);
-    }
-    for (int index : w.order) {
-        w.insn_set.representatives[index] =
-            arch::canonical_encoding(index);
-    }
-    w.insn_set.candidate_sequences = w.order.size();
-    return w;
 }
 
 ShardOutcome
@@ -258,63 +211,23 @@ merge_outcomes(CampaignResult &result, const ShardPlan &plan,
             remap[owner][test.id] = next_id;
             test.id = next_id++;
         }
+        m.add_unit(unit);
         mc.explored.push_back(std::move(unit));
     }
 
     for (const ShardOutcome &o : result.outcomes) {
         result.complete = result.complete && o.complete;
         result.sessions += o.sessions;
-        const PipelineStats &st = o.stats;
-        m.instructions_explored += st.instructions_explored;
-        m.instructions_complete += st.instructions_complete;
-        m.total_paths += st.total_paths;
-        m.solver_queries += st.solver_queries;
-        m.solver_cache_hits += st.solver_cache_hits;
-        m.solver_cache_misses += st.solver_cache_misses;
-        m.solver_queries_avoided += st.solver_queries_avoided;
-        m.minimize_bits_before += st.minimize_bits_before;
-        m.minimize_bits_after += st.minimize_bits_after;
-        m.covered_blocks += st.covered_blocks;
-        m.total_blocks += st.total_blocks;
-        m.covered_edges += st.covered_edges;
-        m.total_edges += st.total_edges;
-        for (u32 b = 0; b < coverage::kNumCoverageBuckets; ++b)
-            m.coverage_histogram[b] += st.coverage_histogram[b];
-        m.truncated_path_cap += st.truncated_path_cap;
-        m.truncated_deadline += st.truncated_deadline;
-        m.truncated_step_limit += st.truncated_step_limit;
-        m.test_programs += st.test_programs;
-        m.generation_failures += st.generation_failures;
-        m.tests_executed += st.tests_executed;
-        m.lofi_raw_diffs += st.lofi_raw_diffs;
-        m.hifi_raw_diffs += st.hifi_raw_diffs;
-        m.lofi_diffs += st.lofi_diffs;
-        m.hifi_diffs += st.hifi_diffs;
-        m.filtered_undefined += st.filtered_undefined;
-        m.timeouts += st.timeouts;
-        m.compiled_hits += st.compiled_hits;
-        m.compiled_misses += st.compiled_misses;
-        m.hifi_timeouts += st.hifi_timeouts;
-        m.lofi_timeouts += st.lofi_timeouts;
-        m.hw_timeouts += st.hw_timeouts;
-        m.hifi_cycles += st.hifi_cycles;
-        m.lofi_cycles += st.lofi_cycles;
-        m.hw_cycles += st.hw_cycles;
-        m.lofi_timing_divergences += st.lofi_timing_divergences;
-        m.hifi_timing_divergences += st.hifi_timing_divergences;
-        m.budget_incomplete += st.budget_incomplete;
+        m.compiled_hits += o.stats.compiled_hits;
+        m.compiled_misses += o.stats.compiled_misses;
         // Session-scoped counters (budget_retries, units_resumed,
         // tests_resumed, checkpoints_written) are layout-dependent by
         // nature and deliberately left out of the merged stats.
-        const auto rm = [&](u64 local) -> u64 {
-            const auto &ids = remap[o.shard];
+        const auto &ids = remap[o.shard];
+        m.merge(o.stats, [&](u64 local) -> u64 {
             auto it = ids.find(local);
             return it == ids.end() ? local : it->second;
-        };
-        m.lofi_clusters.merge(st.lofi_clusters, rm);
-        m.hifi_clusters.merge(st.hifi_clusters, rm);
-        m.lofi_timing_clusters.merge(st.lofi_timing_clusters, rm);
-        m.hifi_timing_clusters.merge(st.hifi_timing_clusters, rm);
+        });
     }
 
     // Quarantine ledger: remap execution entries to global test ids,
@@ -368,28 +281,11 @@ merge_outcomes(CampaignResult &result, const ShardPlan &plan,
     // complete campaign executed_count covers every merged test; for
     // an incomplete one the merged file is informational (each shard's
     // own checkpoint remains the resumable artifact).
-    CheckpointExecution &e = mc.execution;
-    for (const ShardOutcome &o : result.outcomes)
-        e.executed_count += o.progress.execution.executed_count;
-    e.tests_executed = m.tests_executed;
-    e.lofi_raw_diffs = m.lofi_raw_diffs;
-    e.hifi_raw_diffs = m.hifi_raw_diffs;
-    e.lofi_diffs = m.lofi_diffs;
-    e.hifi_diffs = m.hifi_diffs;
-    e.filtered_undefined = m.filtered_undefined;
-    e.timeouts = m.timeouts;
-    e.hifi_timeouts = m.hifi_timeouts;
-    e.lofi_timeouts = m.lofi_timeouts;
-    e.hw_timeouts = m.hw_timeouts;
-    e.hifi_cycles = m.hifi_cycles;
-    e.lofi_cycles = m.lofi_cycles;
-    e.hw_cycles = m.hw_cycles;
-    e.lofi_timing_divergences = m.lofi_timing_divergences;
-    e.hifi_timing_divergences = m.hifi_timing_divergences;
-    e.lofi_clusters = m.lofi_clusters;
-    e.hifi_clusters = m.hifi_clusters;
-    e.lofi_timing_clusters = m.lofi_timing_clusters;
-    e.hifi_timing_clusters = m.hifi_timing_clusters;
+    static_cast<ExecutionTotals &>(mc.execution) = m;
+    for (const ShardOutcome &o : result.outcomes) {
+        mc.execution.executed_count +=
+            o.progress.execution.executed_count;
+    }
     mc.quarantine = m.quarantine;
 }
 
@@ -426,6 +322,8 @@ run_campaign(const CampaignOptions &options)
             campaign_error("resume requires a checkpoint directory");
     }
 
+    // Stage 1 runs once, driver-side; each worker then receives its
+    // slice as an explicit filter.
     Workload workload = resolve_workload(options.pipeline);
     const ShardPlan plan =
         plan_shards(workload.order, options.shards);
@@ -505,95 +403,7 @@ run_campaign(const CampaignOptions &options)
 std::string
 CampaignResult::report() const
 {
-    const PipelineStats &m = merged;
-    std::ostringstream os;
-    os << "== PokeEMU campaign ==\n";
-    os << "workload: " << m.insn_set.candidate_sequences
-       << " instructions\n";
-    os << "explored: " << m.instructions_explored << " instructions, "
-       << m.total_paths << " paths, " << m.instructions_complete
-       << " with complete path coverage\n";
-    if (m.budget_incomplete) {
-        os << "budget-incomplete: " << m.budget_incomplete
-           << " instructions\n";
-    }
-    if (m.total_blocks != 0) {
-        const auto pct = [](u64 covered, u64 total) {
-            return total == 0
-                ? 100.0
-                : 100.0 * static_cast<double>(covered) /
-                    static_cast<double>(total);
-        };
-        os << "IR coverage: " << m.covered_blocks << "/"
-           << m.total_blocks << " blocks (" << std::fixed
-           << std::setprecision(1) << pct(m.covered_blocks,
-                                          m.total_blocks)
-           << "%), " << m.covered_edges << "/" << m.total_edges
-           << " edges (" << pct(m.covered_edges, m.total_edges)
-           << "%)\n" << std::defaultfloat << std::setprecision(6);
-        os << "coverage histogram:";
-        for (u32 b = 0; b < coverage::kNumCoverageBuckets; ++b) {
-            os << " " << coverage::coverage_bucket_name(b) << "="
-               << m.coverage_histogram[b];
-        }
-        os << "\n";
-    }
-    if (m.any_truncation()) {
-        os << "truncated explorations: path-cap "
-           << m.truncated_path_cap << ", deadline "
-           << m.truncated_deadline << ", step-limit "
-           << m.truncated_step_limit << ", solver-timeout "
-           << m.truncated_solver_timeout() << "\n";
-    }
-    // Print queries + avoided: the sum is invariant across prune
-    // modes, so the merged report stays byte-identical whether the
-    // campaign ran with pruning off or on.
-    os << "solver: " << m.solver_queries + m.solver_queries_avoided
-       << " queries; memo " << m.solver_cache_hits << " hits, "
-       << m.solver_cache_misses << " misses";
-    const u64 memo_total = m.solver_cache_hits + m.solver_cache_misses;
-    if (memo_total != 0) {
-        const double rate = static_cast<double>(m.solver_cache_hits) /
-            static_cast<double>(memo_total);
-        os << " (" << std::fixed << std::setprecision(1)
-           << rate * 100.0 << "% hit rate)" << std::defaultfloat
-           << std::setprecision(6);
-    }
-    os << "\n";
-    os << "minimization: " << m.minimize_bits_before
-       << " differing bits -> " << m.minimize_bits_after << "\n";
-    os << "test programs: " << m.test_programs << " ("
-       << m.generation_failures << " generation failures)\n";
-    os << "tests executed: " << m.tests_executed << ", " << m.timeouts
-       << " excluded by oracle timeout (timed out: hifi "
-       << m.hifi_timeouts << ", lofi " << m.lofi_timeouts << ", hw "
-       << m.hw_timeouts << ")\n";
-    os << "lofi vs hw: " << m.lofi_raw_diffs << " raw, "
-       << m.lofi_diffs << " after undefined-behaviour filtering\n";
-    os << "hifi vs hw: " << m.hifi_raw_diffs << " raw, "
-       << m.hifi_diffs << " after filtering\n";
-    os << m.filtered_undefined
-       << " differences were entirely undefined behaviour\n";
-    // Timing lines are gated on nonzero totals so a timing-off
-    // campaign's report is byte-identical to a pre-timing one.
-    if (m.hifi_cycles || m.lofi_cycles || m.hw_cycles) {
-        os << "cycle totals: hifi " << m.hifi_cycles << ", lofi "
-           << m.lofi_cycles << ", hw " << m.hw_cycles << "\n";
-        os << "timing divergences: lofi " << m.lofi_timing_divergences
-           << ", hifi " << m.hifi_timing_divergences << "\n";
-    }
-    if (m.quarantine.total() != 0)
-        os << m.quarantine.to_string();
-    os << "lofi root causes:\n" << m.lofi_clusters.to_string();
-    os << "hifi root causes:\n" << m.hifi_clusters.to_string();
-    if (m.lofi_timing_clusters.total() ||
-        m.hifi_timing_clusters.total()) {
-        os << "lofi timing divergences:\n"
-           << m.lofi_timing_clusters.to_string();
-        os << "hifi timing divergences:\n"
-           << m.hifi_timing_clusters.to_string();
-    }
-    return os.str();
+    return merged.to_string();
 }
 
 } // namespace pokeemu

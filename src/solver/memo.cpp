@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <functional>
 
+#include "support/rng.h"
+
 namespace pokeemu::solver {
-
-namespace {
-
-/** splitmix64 finalizer (same mixer the fingerprint code uses). */
-u64
-mix64(u64 x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 std::size_t
 QueryMemo::KeyHash::operator()(const QueryKey &key) const

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "support/rng.h"
+
 namespace pokeemu::support {
 
 const char *
@@ -106,20 +108,6 @@ FaultPlan::only(FaultSite site, double probability, u64 seed)
     plan.armed[static_cast<std::size_t>(site)] = true;
     return plan;
 }
-
-namespace {
-
-/** splitmix64 finalizer: a good 64->64 mixer for counter streams. */
-u64
-mix64(u64 x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 namespace {
 

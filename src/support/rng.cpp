@@ -5,16 +5,6 @@ namespace pokeemu {
 namespace {
 
 u64
-splitmix64(u64 &x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    u64 z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-u64
 rotl(u64 x, int k)
 {
     return (x << k) | (x >> (64 - k));
@@ -25,9 +15,11 @@ rotl(u64 x, int k)
 void
 Rng::reseed(u64 seed)
 {
-    u64 x = seed;
-    for (auto &word : state_)
-        word = splitmix64(x);
+    // splitmix64: word i is mix64(seed + i * gamma).
+    for (auto &word : state_) {
+        word = mix64(seed);
+        seed += 0x9e3779b97f4a7c15ULL;
+    }
 }
 
 u64

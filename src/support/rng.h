@@ -14,6 +14,18 @@
 
 namespace pokeemu {
 
+/** splitmix64 finalizer, the one 64->64 mixer: Rng seeding, the
+ *  options and campaign fingerprints, the solver memo's key hash and
+ *  the chaos streams all use it, so changing it moves every one. */
+constexpr u64
+mix64(u64 x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** Seedable xoshiro256** generator with convenience range helpers. */
 class Rng
 {

@@ -70,6 +70,10 @@ TEST(Corpus, MalformedInputRejected)
 
     std::stringstream odd_hex("pokeemu-corpus-v1\n1\n1 0 push fff\n");
     EXPECT_THROW(load_corpus(odd_hex), std::logic_error);
+
+    // The test instruction offset lies beyond the 2-byte program.
+    std::stringstream bad_offset("pokeemu-corpus-v1\n1\n7 4000 push 50f4\n");
+    EXPECT_THROW(load_corpus(bad_offset), std::logic_error);
 }
 
 TEST(Corpus, MalformedInputIsADocumentedErrorNotAPanic)
@@ -95,14 +99,31 @@ TEST(Corpus, ReplayFindsSeededBugsAndPassesWhenFixed)
     save_corpus(buffer, tests);
     const auto loaded = load_corpus(buffer);
 
-    const ReplayStats buggy = replay_corpus(loaded, lofi::BugConfig{});
-    EXPECT_EQ(buggy.tests, loaded.size());
+    const ExecutionTotals buggy =
+        replay_corpus(loaded, lofi::BugConfig{});
+    EXPECT_EQ(buggy.tests_executed, loaded.size());
     EXPECT_GT(buggy.lofi_diffs, 0u);
 
-    const ReplayStats fixed =
+    const ExecutionTotals fixed =
         replay_corpus(loaded, lofi::BugConfig::none());
     EXPECT_EQ(fixed.lofi_diffs, 0u);
     EXPECT_EQ(fixed.timeouts, 0u);
+}
+
+TEST(Corpus, ReplayRefusesAnUndecodableTestInstruction)
+{
+    // Loads fine (the offset is in range), but 0f 0b is ud2: there is
+    // no instruction to filter or cluster by, so replay must refuse
+    // the test rather than count its differences unfiltered.
+    std::stringstream buffer("pokeemu-corpus-v1\n1\n3 1 ud2 900f0bf4\n");
+    const auto loaded = load_corpus(buffer);
+    try {
+        replay_corpus(loaded, lofi::BugConfig{});
+        FAIL() << "expected std::logic_error";
+    } catch (const std::logic_error &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("corpus:", 0), 0u) << what;
+    }
 }
 
 TEST(Corpus, SingleBugConfigsAreDistinguishable)

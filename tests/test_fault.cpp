@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <sstream>
 
@@ -330,6 +331,23 @@ TEST(Checkpoint, SaveLoadRoundTrip)
     const Checkpoint cp = sample_checkpoint();
     std::stringstream ss;
     save_checkpoint(ss, cp);
+    // The exact v6 text: every checkpoint already on disk was written
+    // in this layout, so a reordered row must fail here, not load with
+    // its columns shifted.
+    EXPECT_EQ(ss.str(), "pokeemu-checkpoint-v6\n"
+                        "fingerprint 244837814094590\n"
+                        "explored 1\n"
+                        "unit 50 1 0 9 17 0 0 5 300 40 1 0 0 0 0 0 0 0 0 1\n"
+                        "test 4 50 2 176 909050f4\n"
+                        "executed 1\n"
+                        "counters 1 1 0 1 0 0 0 0 0 0 0 0 0 0 0\n"
+                        "clusters 1\n"
+                        "test-cause 1 4 1 push\n"
+                        "clusters 0\n"
+                        "clusters 0\n"
+                        "clusters 0\n"
+                        "quarantined 0\n"
+                        "end\n");
     const Checkpoint back = load_checkpoint(ss);
 
     EXPECT_EQ(back.fingerprint, cp.fingerprint);
@@ -356,6 +374,35 @@ TEST(Checkpoint, SaveLoadRoundTrip)
               "test-cause");
     EXPECT_NE(back.find_unit(50), nullptr);
     EXPECT_EQ(back.find_unit(51), nullptr);
+}
+
+TEST(Checkpoint, CountersRowKeepsV6ColumnOrder)
+{
+    // The v6 `counters` columns in file order; distinct values pin
+    // every column, including the ones sample_checkpoint leaves zero.
+    const auto columns = [](ExecutionTotals &e) {
+        return std::array<u64 *, 15>{
+            &e.tests_executed, &e.lofi_raw_diffs, &e.hifi_raw_diffs,
+            &e.lofi_diffs, &e.hifi_diffs, &e.filtered_undefined,
+            &e.timeouts, &e.hifi_timeouts, &e.lofi_timeouts,
+            &e.hw_timeouts, &e.hifi_cycles, &e.lofi_cycles,
+            &e.hw_cycles, &e.lofi_timing_divergences,
+            &e.hifi_timing_divergences};
+    };
+    Checkpoint cp = sample_checkpoint();
+    u64 value = 0;
+    for (u64 *column : columns(cp.execution))
+        *column = ++value;
+    std::stringstream ss;
+    save_checkpoint(ss, cp);
+    EXPECT_NE(ss.str().find(
+                  "\ncounters 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n"),
+              std::string::npos)
+        << ss.str();
+    Checkpoint back = load_checkpoint(ss);
+    value = 0;
+    for (u64 *column : columns(back.execution))
+        EXPECT_EQ(*column, ++value);
 }
 
 TEST(Checkpoint, MalformedInputRejected)

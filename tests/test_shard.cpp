@@ -102,6 +102,10 @@ TEST(Campaign, ReportByteIdenticalAcrossShardCounts)
         EXPECT_EQ(result.report(), reference_report())
             << "shards=" << shards;
     }
+    // A plain Pipeline prints the same report: one printer serves both.
+    Pipeline pipeline(base_campaign().pipeline);
+    pipeline.run();
+    EXPECT_EQ(pipeline.stats().to_string(), reference_report());
 }
 
 TEST(Campaign, SequentialSchedulingMatchesParallel)

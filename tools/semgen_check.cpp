@@ -35,6 +35,7 @@
 #include "equiv_env.h"
 #include "hifi/compiled.h"
 #include "ir/printer.h"
+#include "support/rng.h"
 #include "testgen/testgen.h"
 
 using namespace pokeemu;
@@ -42,16 +43,6 @@ using hifi::CompiledUnit;
 using hifi::ReplayMemory;
 
 namespace {
-
-/** splitmix64: the deterministic per-(unit, state) seed stream. */
-u64
-mix(u64 z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 /** One execution's observable behaviour. */
 struct Outcome
@@ -235,14 +226,14 @@ main(int argc, char **argv)
                         unit.insn.table_index, proof.c_str());
         }
         for (u64 s = 0; s < states; ++s) {
-            const u64 base = mix(seed ^ mix(u * 8192 + s));
+            const u64 base = mix64(seed ^ mix64(u * 8192 + s));
             // Generic units read value parameters from the param
             // block; vary them independently of the background.
             const u32 imm = unit.params_ok
-                ? static_cast<u32>(mix(base ^ 1))
+                ? static_cast<u32>(mix64(base ^ 1))
                 : unit.insn.imm;
             const u32 disp = unit.params_ok
-                ? static_cast<u32>(mix(base ^ 2))
+                ? static_cast<u32>(mix64(base ^ 2))
                 : unit.insn.disp;
 
             ReplayMemory ref_mem(base);

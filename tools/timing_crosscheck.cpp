@@ -28,6 +28,7 @@
 
 #include "hifi/compiled.h"
 #include "hifi/semantics.h"
+#include "support/rng.h"
 #include "timing/cost_model.h"
 
 using namespace pokeemu;
@@ -35,16 +36,6 @@ using hifi::CompiledUnit;
 using hifi::ReplayMemory;
 
 namespace {
-
-/** splitmix64: the deterministic per-(unit, state) seed stream. */
-u64
-mix(u64 z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 constexpr u64 kMaxSteps = 1u << 14;
 
@@ -161,12 +152,12 @@ main(int argc, char **argv)
         const timing::UnitCost &cost = timing::cost_model().cost_for(
             unit.insn.table_index, mem_form);
         for (u64 s = 0; s < states; ++s) {
-            const u64 base = mix(seed ^ mix(u * 8192 + s));
+            const u64 base = mix64(seed ^ mix64(u * 8192 + s));
             const u32 imm = unit.params_ok
-                ? static_cast<u32>(mix(base ^ 1))
+                ? static_cast<u32>(mix64(base ^ 1))
                 : unit.insn.imm;
             const u32 disp = unit.params_ok
-                ? static_cast<u32>(mix(base ^ 2))
+                ? static_cast<u32>(mix64(base ^ 2))
                 : unit.insn.disp;
 
             ReplayMemory ref_mem(base);
