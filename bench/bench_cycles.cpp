@@ -131,10 +131,9 @@ main(int argc, char **argv)
     }
     // Best-of-N wall times per configuration, taken test by test and
     // summed over the test set. The six configurations take turns test
-    // by test: each run is a few 4 MiB image copies, so a burst of
-    // memory-bandwidth contention on the host lands on every
-    // configuration alike, and a test's best time comes from a
-    // repetition the burst missed.
+    // by test: a run takes well under a millisecond, so a burst of
+    // load on the host lands on every configuration alike, and a
+    // test's best time comes from a repetition the burst missed.
     Measurement results[6];
     std::vector<double> best(programs.size() * 6, 0.0);
     harness::BackendRun run;

@@ -5,28 +5,25 @@ namespace pokeemu::arch {
 namespace {
 
 u32
-read32_phys(const u8 *ram, u32 phys)
+read32_phys(const GuestRam &ram, u32 phys)
 {
-    const u32 a = phys & (kPhysMemSize - 1);
-    return static_cast<u32>(ram[a]) | (static_cast<u32>(ram[a + 1]) << 8) |
-           (static_cast<u32>(ram[a + 2]) << 16) |
-           (static_cast<u32>(ram[a + 3]) << 24);
+    return static_cast<u32>(ram.read8(phys)) |
+           (static_cast<u32>(ram.read8(phys + 1)) << 8) |
+           (static_cast<u32>(ram.read8(phys + 2)) << 16) |
+           (static_cast<u32>(ram.read8(phys + 3)) << 24);
 }
 
 void
-write32_phys(u8 *ram, u32 phys, u32 v)
+write32_phys(GuestRam &ram, u32 phys, u32 v)
 {
-    const u32 a = phys & (kPhysMemSize - 1);
-    ram[a] = static_cast<u8>(v);
-    ram[a + 1] = static_cast<u8>(v >> 8);
-    ram[a + 2] = static_cast<u8>(v >> 16);
-    ram[a + 3] = static_cast<u8>(v >> 24);
+    for (unsigned i = 0; i < 4; ++i)
+        ram.write8(phys + i, static_cast<u8>(v >> (8 * i)));
 }
 
 } // namespace
 
 TranslateResult
-translate_linear(u8 *ram, u32 cr3, u32 linear, AccessIntent intent,
+translate_linear(GuestRam &ram, u32 cr3, u32 linear, AccessIntent intent,
                  bool wp, bool set_accessed_dirty)
 {
     TranslateResult result;

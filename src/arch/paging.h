@@ -11,7 +11,7 @@
 
 #include <optional>
 
-#include "arch/state.h"
+#include "arch/guest_ram.h"
 
 namespace pokeemu::arch {
 
@@ -48,7 +48,7 @@ struct TranslateResult
 /**
  * Concrete two-level page walk.
  *
- * @param ram guest physical memory (kPhysMemSize bytes).
+ * @param ram guest physical memory.
  * @param cr3 page-directory base.
  * @param linear linear address to translate.
  * @param intent access type for permission checks.
@@ -56,7 +56,7 @@ struct TranslateResult
  * @param set_accessed_dirty update A/D bits in RAM on success (real
  *        hardware behaviour; an emulator bug knob disables it).
  */
-TranslateResult translate_linear(u8 *ram, u32 cr3, u32 linear,
+TranslateResult translate_linear(GuestRam &ram, u32 cr3, u32 linear,
                                  AccessIntent intent, bool wp,
                                  bool set_accessed_dirty);
 

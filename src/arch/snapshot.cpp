@@ -1,5 +1,6 @@
 #include "arch/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -12,6 +13,34 @@ field(SnapshotDiff &diff, const std::string &name, u64 a, u64 b)
 {
     if (a != b)
         diff.cpu.push_back({name, a, b});
+}
+
+/** Record the bytes where @p x and @p y (@p n bytes each, at physical
+ *  address @p addr) differ, in ascending order. */
+void
+compare_bytes(SnapshotDiff &diff, const u8 *x, const u8 *y, std::size_t n,
+              std::size_t addr)
+{
+    const auto note = [&](std::size_t i) {
+        if (x[i] != y[i]) {
+            ++diff.mem_total;
+            if (diff.mem.size() < SnapshotDiff::kMaxMemDiffs)
+                diff.mem.push_back(static_cast<u32>(addr + i));
+        }
+    };
+    // Word at a time: byte loops would dominate otherwise.
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        u64 wx, wy;
+        std::memcpy(&wx, x + i, 8);
+        std::memcpy(&wy, y + i, 8);
+        if (wx == wy)
+            continue;
+        for (std::size_t k = i; k < i + 8; ++k)
+            note(k);
+    }
+    for (; i < n; ++i)
+        note(i);
 }
 
 } // namespace
@@ -56,32 +85,33 @@ diff_snapshots(const Snapshot &a, const Snapshot &b)
           b.cpu.exception.has_error_code);
     field(diff, "halted", a.cpu.halted, b.cpu.halted);
 
-    // Word-at-a-time scan (memory images are 4 MiB; byte loops
-    // dominate comparison time otherwise).
-    const std::size_t n = std::min(a.ram.size(), b.ram.size());
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        u64 wa, wb;
-        std::memcpy(&wa, a.ram.data() + i, 8);
-        std::memcpy(&wb, b.ram.data() + i, 8);
-        if (wa == wb)
-            continue;
-        for (std::size_t j = i; j < i + 8; ++j) {
-            if (a.ram[j] != b.ram[j]) {
-                ++diff.mem_total;
-                if (diff.mem.size() < SnapshotDiff::kMaxMemDiffs)
-                    diff.mem.push_back(static_cast<u32>(j));
-            }
+    if (a.ram.base() && a.ram.base() == b.ram.base()) {
+        // Shared base: a page neither side wrote equals the base in
+        // both. Walk the union of the written pages in ascending order.
+        const u8 *base = a.ram.base()->data();
+        const std::vector<u32> &pa = a.ram.pages();
+        const std::vector<u32> &pb = b.ram.pages();
+        std::size_t i = 0, j = 0;
+        while (i < pa.size() || j < pb.size()) {
+            u32 page = i < pa.size() ? pa[i] : pb[j];
+            if (j < pb.size())
+                page = std::min(page, pb[j]);
+            const std::size_t off = std::size_t{page} << kPageShift;
+            const u8 *x = base + off;
+            const u8 *y = base + off;
+            if (i < pa.size() && pa[i] == page)
+                x = a.ram.page_data(i++);
+            if (j < pb.size() && pb[j] == page)
+                y = b.ram.page_data(j++);
+            compare_bytes(diff, x, y, kPageSize, off);
         }
+        return diff;
     }
-    for (; i < n; ++i) {
-        if (a.ram[i] != b.ram[i]) {
-            ++diff.mem_total;
-            if (diff.mem.size() < SnapshotDiff::kMaxMemDiffs)
-                diff.mem.push_back(static_cast<u32>(i));
-        }
-    }
-    if (a.ram.size() != b.ram.size())
+    const std::vector<u8> x = a.ram.to_bytes();
+    const std::vector<u8> y = b.ram.to_bytes();
+    compare_bytes(diff, x.data(), y.data(), std::min(x.size(), y.size()),
+                  0);
+    if (x.size() != y.size())
         diff.mem_total += 1; // Size mismatch counts as a difference.
     return diff;
 }

@@ -6,8 +6,10 @@
  * Snapshot of the CPU state and the full physical memory (paper §5:
  * "we generate a snapshot of the state of the CPU and of the physical
  * memory", with a common file format to simplify comparison — here the
- * common format is this struct). diff_snapshots is the core of the
- * difference-analysis step (paper Figure 1(5)).
+ * common format is this struct). Memory is a RamView: the shared base
+ * image plus copies of the pages the run wrote (arch/guest_ram.h).
+ * diff_snapshots is the core of the difference-analysis step (paper
+ * Figure 1(5)).
  */
 #ifndef POKEEMU_ARCH_SNAPSHOT_H
 #define POKEEMU_ARCH_SNAPSHOT_H
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/guest_ram.h"
 #include "arch/state.h"
 
 namespace pokeemu::arch {
@@ -23,7 +26,7 @@ namespace pokeemu::arch {
 struct Snapshot
 {
     CpuState cpu;
-    std::vector<u8> ram; ///< kPhysMemSize bytes.
+    RamView ram; ///< kPhysMemSize bytes.
     /** Cycles charged over the run (timing/cost_model.h); 0 when the
      *  backend ran without cycle accounting. Deliberately ignored by
      *  diff_snapshots: timing is its own difference class
@@ -55,7 +58,12 @@ struct SnapshotDiff
     std::string to_string() const;
 };
 
-/** Field-by-field and byte-by-byte comparison. */
+/**
+ * Field-by-field and byte-by-byte comparison. When both memories share
+ * a base image only the pages either side wrote are compared, since
+ * every other page equals the base in both; otherwise both images are
+ * materialized and scanned whole. Either way the result is the same.
+ */
 SnapshotDiff diff_snapshots(const Snapshot &a, const Snapshot &b);
 
 } // namespace pokeemu::arch

@@ -57,22 +57,33 @@ parity_even(u64 res)
 
 } // namespace
 
-DirectCpu::DirectCpu(Behavior behavior)
-    : behavior_(behavior), ram_(arch::kPhysMemSize, 0)
-{
-}
+DirectCpu::DirectCpu(Behavior behavior) : behavior_(behavior) {}
 
 void
-DirectCpu::reset(const CpuState &cpu, const std::vector<u8> &ram)
+DirectCpu::reset(const CpuState &cpu, const arch::RamImage &base,
+                 u32 code_addr, std::span<const u8> code)
 {
     cpu_ = cpu;
-    assert(ram.size() == arch::kPhysMemSize);
-    ram_ = ram;
+    ram_.reset(base, code_addr, code);
     tcache_.clear();
     insn_count_ = 0;
     cache_hits_ = 0;
     cache_misses_ = 0;
     cycles_ = 0;
+}
+
+void
+DirectCpu::reset(const CpuState &cpu, const std::vector<u8> &ram)
+{
+    reset(cpu, arch::make_ram_image(ram), 0, {});
+}
+
+void
+DirectCpu::snapshot_into(arch::Snapshot &out) const
+{
+    out.cpu = cpu_;
+    ram_.snapshot_into(out.ram);
+    out.cycles = cycles_;
 }
 
 void
@@ -161,7 +172,7 @@ DirectCpu::translate(const Work &w, u32 linear, bool write)
     if (!(w.c.cr0 & arch::kCr0Pg))
         return linear;
     const bool wp = (w.c.cr0 & arch::kCr0Wp) != 0;
-    auto tr = arch::translate_linear(ram_.data(), w.c.cr3, linear,
+    auto tr = arch::translate_linear(ram_, w.c.cr3, linear,
                                      {write, false}, wp,
                                      behavior_.set_pte_accessed_dirty);
     if (!tr.ok)
@@ -175,9 +186,7 @@ DirectCpu::read_phys(u32 phys, unsigned size) const
 {
     u64 v = 0;
     for (unsigned i = 0; i < size; ++i)
-        v |= static_cast<u64>(
-                 ram_[(phys + i) & (arch::kPhysMemSize - 1)])
-             << (8 * i);
+        v |= static_cast<u64>(ram_.read8(phys + i)) << (8 * i);
     return v;
 }
 
@@ -185,8 +194,7 @@ void
 DirectCpu::write_phys(u32 phys, unsigned size, u64 value)
 {
     for (unsigned i = 0; i < size; ++i)
-        ram_[(phys + i) & (arch::kPhysMemSize - 1)] =
-            static_cast<u8>(value >> (8 * i));
+        ram_.write8(phys + i, static_cast<u8>(value >> (8 * i)));
 }
 
 u64
@@ -452,7 +460,7 @@ DirectCpu::load_segment(Work &w, unsigned seg, u16 selector)
     const u32 desc_addr = w.c.gdtr.base + index * 8;
     u8 bytes[8];
     for (unsigned i = 0; i < 8; ++i)
-        bytes[i] = ram_[(desc_addr + i) & (arch::kPhysMemSize - 1)];
+        bytes[i] = ram_.read8(desc_addr + i);
     const arch::Descriptor d = arch::decode_descriptor(bytes);
 
     bool bad_type = !d.is_code_data();
@@ -470,8 +478,7 @@ DirectCpu::load_segment(Work &w, unsigned seg, u16 selector)
     arch::SegmentReg out = arch::make_segment_reg(selector, d);
     if (behavior_.set_descriptor_accessed) {
         out.access |= arch::kDescAccessed;
-        ram_[(desc_addr + 5) & (arch::kPhysMemSize - 1)] =
-            bytes[5] | arch::kDescAccessed;
+        ram_.write8(desc_addr + 5, bytes[5] | arch::kDescAccessed);
     }
     w.c.seg[seg] = out;
 }
@@ -512,7 +519,7 @@ DirectCpu::step()
             u32 phys = lin;
             if (w.c.cr0 & arch::kCr0Pg) {
                 auto tr = arch::translate_linear(
-                    ram_.data(), w.c.cr3, lin, {false, false},
+                    ram_, w.c.cr3, lin, {false, false},
                     (w.c.cr0 & arch::kCr0Wp) != 0,
                     behavior_.set_pte_accessed_dirty);
                 if (!tr.ok) {
@@ -523,15 +530,15 @@ DirectCpu::step()
                 }
                 phys = tr.phys;
             }
-            buf[i] = ram_[phys & (arch::kPhysMemSize - 1)];
+            buf[i] = ram_.read8(phys);
             ++avail;
         }
         if (avail == 0)
             throw pending;
 
         // Decode with the translation cache (the "JIT" model): keyed
-        // by the physical address of the first byte, revalidated
-        // against the fetched bytes.
+        // by the linear address of the first byte (CS base + EIP),
+        // revalidated against the fetched bytes.
         const u32 key = w.c.seg[arch::kCs].base + w.c.eip;
         DecodedInsn insn;
         auto it = tcache_.find(key);

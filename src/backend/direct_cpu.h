@@ -123,6 +123,14 @@ class DirectCpu
   public:
     explicit DirectCpu(Behavior behavior);
 
+    /**
+     * Load CPU state, reset guest memory onto @p base and install
+     * @p code at @p code_addr (arch::GuestRam::reset).
+     */
+    void reset(const arch::CpuState &cpu, const arch::RamImage &base,
+               u32 code_addr, std::span<const u8> code);
+
+    /** Load CPU state and a full physical-memory image. */
     void reset(const arch::CpuState &cpu, const std::vector<u8> &ram);
 
     /** Execute one instruction; false when already stopped. */
@@ -131,17 +139,17 @@ class DirectCpu
     StopReason run(u64 max_insns = 1u << 20);
 
     const arch::CpuState &cpu() const { return cpu_; }
-    arch::Snapshot snapshot() const { return {cpu_, ram_, cycles_}; }
 
-    /** Snapshot into a reusable buffer (avoids a 4 MiB allocation per
-     *  test; the vector assignment reuses existing capacity). */
-    void
-    snapshot_into(arch::Snapshot &out) const
+    arch::Snapshot
+    snapshot() const
     {
-        out.cpu = cpu_;
-        out.ram = ram_;
-        out.cycles = cycles_;
+        arch::Snapshot out;
+        snapshot_into(out);
+        return out;
     }
+
+    /** Snapshot into a reusable buffer (copies the written pages). */
+    void snapshot_into(arch::Snapshot &out) const;
 
     u64 insn_count() const { return insn_count_; }
 
@@ -222,10 +230,11 @@ class DirectCpu
 
     Behavior behavior_;
     arch::CpuState cpu_;
-    std::vector<u8> ram_;
-    /** Translation cache: physical address of first byte -> decoded
-     *  instruction + the bytes it was decoded from (re-validated on
-     *  hit, so self-modifying code cannot go stale). */
+    arch::GuestRam ram_;
+    /** Translation cache: linear address of the first byte (CS base +
+     *  EIP) -> decoded instruction + the bytes it was decoded from
+     *  (re-validated on hit, so self-modifying code and remapped pages
+     *  cannot go stale). */
     struct CacheEntry
     {
         std::vector<u8> bytes;

@@ -674,8 +674,7 @@ DirectCpu::execute(Work &w, const DecodedInsn &insn)
         const u32 desc_addr = w.c.gdtr.base + index * 8;
         u8 bytes[8];
         for (unsigned i = 0; i < 8; ++i)
-            bytes[i] =
-                ram_[(desc_addr + i) & (arch::kPhysMemSize - 1)];
+            bytes[i] = ram_.read8(desc_addr + i);
         const arch::Descriptor d = arch::decode_descriptor(bytes);
         if (!d.is_code_data() || !d.is_code())
             raise(arch::kExcGp, sel & 0xfffc, true);
@@ -698,8 +697,7 @@ DirectCpu::execute(Work &w, const DecodedInsn &insn)
             static_cast<u16>(sel & 0xfffc), d);
         cs.access |= arch::kDescAccessed;
         w.c.seg[arch::kCs] = cs;
-        ram_[(desc_addr + 5) & (arch::kPhysMemSize - 1)] =
-            bytes[5] | arch::kDescAccessed;
+        ram_.write8(desc_addr + 5, bytes[5] | arch::kDescAccessed);
         w.c.eip = insn.imm;
         return;
       }
@@ -734,8 +732,7 @@ DirectCpu::execute(Work &w, const DecodedInsn &insn)
         const u32 desc_addr = w.c.gdtr.base + index * 8;
         u8 bytes[8];
         for (unsigned i = 0; i < 8; ++i)
-            bytes[i] =
-                ram_[(desc_addr + i) & (arch::kPhysMemSize - 1)];
+            bytes[i] = ram_.read8(desc_addr + i);
         const arch::Descriptor d = arch::decode_descriptor(bytes);
         if (!d.is_code_data() || !d.is_code())
             raise(arch::kExcGp, sel & 0xfffc, true);
@@ -745,8 +742,7 @@ DirectCpu::execute(Work &w, const DecodedInsn &insn)
         arch::SegmentReg cs = arch::make_segment_reg(sel, d);
         if (behavior_.set_descriptor_accessed) {
             cs.access |= arch::kDescAccessed;
-            ram_[(desc_addr + 5) & (arch::kPhysMemSize - 1)] =
-                bytes[5] | arch::kDescAccessed;
+            ram_.write8(desc_addr + 5, bytes[5] | arch::kDescAccessed);
         }
         w.c.seg[arch::kCs] = cs;
         const u32 mask = 0x47fd5;

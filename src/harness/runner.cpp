@@ -90,28 +90,25 @@ TestRunner::run_one_into(Backend backend,
         }
     }
 
-    // Build the test image in the reusable buffer: copy the immutable
-    // baseline template, then install the test program.
-    const std::vector<u8> &tpl = testgen::baseline_ram_template();
-    image_.assign(tpl.begin(), tpl.end());
-    // An oversized program would overrun the image (UB in a build
-    // without asserts); reject it as a quarantinable per-test fault.
-    if (test_program.size() > testgen::kMaxTestProgramBytes ||
-        arch::layout::kPhysTestCode + test_program.size() >
-            image_.size()) {
+    // An oversized program would spill out of the test-code region;
+    // reject it as a quarantinable per-test fault.
+    static_assert(arch::layout::kPhysTestCode +
+                      testgen::kMaxTestProgramBytes <=
+                  arch::kPhysMemSize);
+    if (test_program.size() > testgen::kMaxTestProgramBytes) {
         throw support::FaultError(
             support::FaultClass::Execution,
             "runner: test program (" +
                 std::to_string(test_program.size()) +
                 " bytes) exceeds the test-code region");
     }
-    std::copy(test_program.begin(), test_program.end(),
-              image_.begin() + arch::layout::kPhysTestCode);
+    const arch::RamImage &base = testgen::baseline_ram_template();
+    const u32 code_addr = arch::layout::kPhysTestCode;
     const arch::CpuState reset = testgen::make_reset_state();
 
     switch (backend) {
       case Backend::HiFi: {
-        hifi_.reset(reset, image_);
+        hifi_.reset(reset, base, code_addr, test_program);
         const auto stop = hifi_.run(config_.max_insns);
         out.timed_out = stop == hifi::StopReason::InsnLimit;
         hifi_.snapshot_into(out.snapshot);
@@ -119,7 +116,7 @@ TestRunner::run_one_into(Backend backend,
         break;
       }
       case Backend::LoFi: {
-        lofi_.reset(reset, image_);
+        lofi_.reset(reset, base, code_addr, test_program);
         // Per-run watchdog: bounds the variant backend itself, so a
         // hung lo-fi variant is quarantined per-test instead of
         // stalling the campaign (see Config).
@@ -132,8 +129,8 @@ TestRunner::run_one_into(Backend backend,
         break;
       }
       case Backend::Hardware: {
-        vmm_.run_test_into(reset, image_, config_.max_insns,
-                           guest_run_);
+        vmm_.run_test_into(reset, base, code_addr, test_program,
+                           config_.max_insns, guest_run_);
         out.timed_out = guest_run_.trap == hw::TrapKind::Timeout;
         std::swap(out.snapshot, guest_run_.snapshot);
         out.insns = guest_run_.insns_executed;

@@ -3,7 +3,10 @@
  * Test-program execution across the three backends (paper §5,
  * Figure 1(4)): each test boots from the reset state with the test
  * image installed, runs until hlt/exception/timeout, and yields a
- * snapshot per backend.
+ * snapshot per backend. Every backend resets onto the one shared
+ * baseline image (testgen::baseline_ram_template) with the test
+ * program installed, so back to back a reset copies back only the
+ * pages the previous test wrote (arch/guest_ram.h).
  */
 #ifndef POKEEMU_HARNESS_RUNNER_H
 #define POKEEMU_HARNESS_RUNNER_H
@@ -81,9 +84,9 @@ class TestRunner
                        const std::vector<u8> &test_program);
 
     /**
-     * Like run_one, but snapshots into @p out's reusable buffers.
-     * Tests run by the thousand and a fresh 4 MiB snapshot allocation
-     * per run would dominate the measured execution cost.
+     * Like run_one, but snapshots into @p out's reusable buffers. The
+     * snapshot shares the baseline image and copies only the pages
+     * the run wrote.
      *
      * Throws FaultError(Execution) for a test program too large for
      * the test-code region (quarantinable per-test fault rather than
@@ -102,8 +105,7 @@ class TestRunner
     hifi::HiFiEmulator hifi_; ///< Reused: keeps its semantics cache.
     lofi::LoFiEmulator lofi_;
     hw::Vmm vmm_;
-    std::vector<u8> image_;   ///< Reusable test-image buffer.
-    hw::GuestRun guest_run_;  ///< Reusable hardware-run buffer.
+    hw::GuestRun guest_run_; ///< Reusable hardware-run buffer.
 };
 
 } // namespace pokeemu::harness

@@ -9,21 +9,26 @@ namespace pokeemu::hifi {
 namespace layout = arch::layout;
 
 HiFiEmulator::HiFiEmulator(SemanticsOptions options)
-    : options_(options), ram_(arch::kPhysMemSize, 0),
-      decoder_(build_decoder_program())
+    : options_(options), decoder_(build_decoder_program())
 {
 }
 
 HiFiEmulator::~HiFiEmulator() = default;
 
 void
-HiFiEmulator::reset(const arch::CpuState &cpu, const std::vector<u8> &ram)
+HiFiEmulator::reset(const arch::CpuState &cpu, const arch::RamImage &base,
+                    u32 code_addr, std::span<const u8> code)
 {
     arch::pack_cpu_state(cpu, state_.data());
-    assert(ram.size() == arch::kPhysMemSize);
-    ram_ = ram;
+    ram_.reset(base, code_addr, code);
     insn_count_ = 0;
     cycles_ = 0;
+}
+
+void
+HiFiEmulator::reset(const arch::CpuState &cpu, const std::vector<u8> &ram)
+{
+    reset(cpu, arch::make_ram_image(ram), 0, {});
 }
 
 void
@@ -53,10 +58,6 @@ HiFiEmulator::resolve(u32 addr)
         addr < layout::kInsnBufBase + scratch_.size()) {
         return scratch_.data() + (addr - layout::kInsnBufBase);
     }
-    if (addr >= layout::kGuestPhysBase &&
-        addr < layout::kGuestPhysBase + arch::kPhysMemSize) {
-        return ram_.data() + (addr - layout::kGuestPhysBase);
-    }
     panic("HiFiEmulator: IR access outside mapped regions");
 }
 
@@ -64,16 +65,13 @@ u64
 HiFiEmulator::load(u32 addr, unsigned size)
 {
     // Guest physical accesses wrap modulo the memory size per byte
-    // (all backends implement the same wrap rule).
+    // (all backends implement the same wrap rule; GuestRam applies it).
     u64 v = 0;
     for (unsigned i = 0; i < size; ++i) {
-        u32 a = addr + i;
-        if (addr >= layout::kGuestPhysBase) {
-            a = layout::kGuestPhysBase +
-                ((addr - layout::kGuestPhysBase + i) &
-                 (arch::kPhysMemSize - 1));
-        }
-        v |= static_cast<u64>(*resolve(a)) << (8 * i);
+        const u8 byte = addr >= layout::kGuestPhysBase
+            ? ram_.read8(addr - layout::kGuestPhysBase + i)
+            : *resolve(addr + i);
+        v |= static_cast<u64>(byte) << (8 * i);
     }
     return v;
 }
@@ -82,13 +80,11 @@ void
 HiFiEmulator::store(u32 addr, unsigned size, u64 value)
 {
     for (unsigned i = 0; i < size; ++i) {
-        u32 a = addr + i;
-        if (addr >= layout::kGuestPhysBase) {
-            a = layout::kGuestPhysBase +
-                ((addr - layout::kGuestPhysBase + i) &
-                 (arch::kPhysMemSize - 1));
-        }
-        *resolve(a) = static_cast<u8>(value >> (8 * i));
+        const u8 byte = static_cast<u8>(value >> (8 * i));
+        if (addr >= layout::kGuestPhysBase)
+            ram_.write8(addr - layout::kGuestPhysBase + i, byte);
+        else
+            *resolve(addr + i) = byte;
     }
 }
 
@@ -101,14 +97,16 @@ HiFiEmulator::cpu() const
 arch::Snapshot
 HiFiEmulator::snapshot() const
 {
-    return {cpu(), ram_, cycles_};
+    arch::Snapshot out;
+    snapshot_into(out);
+    return out;
 }
 
 void
 HiFiEmulator::snapshot_into(arch::Snapshot &out) const
 {
     out.cpu = cpu();
-    out.ram = ram_;
+    ram_.snapshot_into(out.ram);
     out.cycles = cycles_;
 }
 
@@ -179,7 +177,7 @@ HiFiEmulator::step()
         u32 phys = lin;
         if (paging) {
             auto tr = arch::translate_linear(
-                ram_.data(), c.cr3, lin, {false, false}, wp, true);
+                ram_, c.cr3, lin, {false, false}, wp, true);
             if (!tr.ok) {
                 fetch_fault = true;
                 fetch_vector = arch::kExcPf;
@@ -189,7 +187,7 @@ HiFiEmulator::step()
             }
             phys = tr.phys;
         }
-        buf[i] = ram_[phys & (arch::kPhysMemSize - 1)];
+        buf[i] = ram_.read8(phys);
         ++avail;
     }
     if (avail == 0) {

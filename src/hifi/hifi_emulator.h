@@ -39,6 +39,13 @@ class HiFiEmulator : public ir::ConcreteMemory
     explicit HiFiEmulator(SemanticsOptions options = {});
     ~HiFiEmulator() override;
 
+    /**
+     * Load CPU state, reset guest memory onto @p base and install
+     * @p code at @p code_addr (arch::GuestRam::reset).
+     */
+    void reset(const arch::CpuState &cpu, const arch::RamImage &base,
+               u32 code_addr, std::span<const u8> code);
+
     /** Load CPU state and a full physical-memory image. */
     void reset(const arch::CpuState &cpu, const std::vector<u8> &ram);
 
@@ -53,7 +60,7 @@ class HiFiEmulator : public ir::ConcreteMemory
 
     arch::Snapshot snapshot() const;
 
-    /** Snapshot into a reusable buffer (capacity-preserving). */
+    /** Snapshot into a reusable buffer (copies the written pages). */
     void snapshot_into(arch::Snapshot &out) const;
 
     /** Instructions retired since reset. */
@@ -79,6 +86,7 @@ class HiFiEmulator : public ir::ConcreteMemory
   private:
     void record_exception(u8 vector, u32 error, bool has_error,
                           u32 cr2, bool set_cr2);
+    /** Host byte of a CPU-state or scratch address. */
     u8 *resolve(u32 addr);
 
     /** Dispatch @p insn to its generated handler if one matches.
@@ -97,7 +105,7 @@ class HiFiEmulator : public ir::ConcreteMemory
     SemanticsOptions options_;
     std::array<u8, arch::layout::kCpuStateSize> state_{};
     std::array<u8, 0x100> scratch_{}; ///< Insn buffer + decoder state.
-    std::vector<u8> ram_;
+    arch::GuestRam ram_;
     ir::Program decoder_;
     std::map<std::vector<u8>, std::shared_ptr<const ir::Program>>
         semantics_cache_;

@@ -2,22 +2,13 @@
 
 namespace pokeemu::hw {
 
-GuestRun
-Vmm::run_test(const arch::CpuState &cpu, const std::vector<u8> &image,
-              u64 max_insns)
-{
-    GuestRun result;
-    run_test_into(cpu, image, max_insns, result);
-    return result;
-}
-
 void
-Vmm::run_test_into(const arch::CpuState &cpu,
-                   const std::vector<u8> &image, u64 max_insns,
+Vmm::run_test_into(const arch::CpuState &cpu, const arch::RamImage &base,
+                   u32 code_addr, std::span<const u8> code, u64 max_insns,
                    GuestRun &out)
 {
     ++tests_;
-    guest_.reset(cpu, image);
+    guest_.reset(cpu, base, code_addr, code);
     switch (guest_.run(max_insns)) {
       case backend::StopReason::Halted:
         out.trap = TrapKind::Halt;

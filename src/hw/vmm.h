@@ -40,18 +40,17 @@ class Vmm
     Vmm() : guest_(backend::hardware_behavior()) {}
 
     /**
-     * Reset the guest to @p cpu/@p image, run until a trap, snapshot.
-     * Many tests can be run back-to-back on the same Vmm (the paper's
-     * "multiple tests can be run without having to reset the machine
-     * physically").
+     * Reset the guest to @p cpu and to memory @p base with @p code
+     * installed at @p code_addr (backend::DirectCpu::reset), run until
+     * a trap, and snapshot into @p out's reusable buffers. Many tests
+     * can be run back-to-back on the same Vmm (the paper's "multiple
+     * tests can be run without having to reset the machine
+     * physically"); on one base, a reset copies back only the pages
+     * the last test wrote.
      */
-    GuestRun run_test(const arch::CpuState &cpu,
-                      const std::vector<u8> &image,
-                      u64 max_insns = 1u << 16);
-
-    /** Like run_test, but snapshots into @p out's reusable buffers. */
     void run_test_into(const arch::CpuState &cpu,
-                       const std::vector<u8> &image, u64 max_insns,
+                       const arch::RamImage &base, u32 code_addr,
+                       std::span<const u8> code, u64 max_insns,
                        GuestRun &out);
 
     /// @name Supervision statistics.

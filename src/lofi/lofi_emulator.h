@@ -108,6 +108,14 @@ class LoFiEmulator
     {
     }
 
+    /** See backend::DirectCpu::reset. */
+    void
+    reset(const arch::CpuState &cpu, const arch::RamImage &base,
+          u32 code_addr, std::span<const u8> code)
+    {
+        cpu_.reset(cpu, base, code_addr, code);
+    }
+
     void
     reset(const arch::CpuState &cpu, const std::vector<u8> &ram)
     {
@@ -133,8 +141,11 @@ class LoFiEmulator
         // The corrupting variant drops the top half of its RAM dump;
         // harness::TestRunner validates snapshot shape and quarantines
         // the unit as FaultClass::SnapshotCorrupt.
-        if (misbehavior_ == Misbehavior::CorruptSnapshot)
-            out.ram.resize(out.ram.size() / 2);
+        if (misbehavior_ == Misbehavior::CorruptSnapshot) {
+            std::vector<u8> bytes = out.ram.to_bytes();
+            bytes.resize(bytes.size() / 2);
+            out.ram = arch::RamView(arch::make_ram_image(std::move(bytes)));
+        }
     }
     const arch::CpuState &cpu() const { return cpu_.cpu(); }
     u64 insn_count() const { return cpu_.insn_count(); }

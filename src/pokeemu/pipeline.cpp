@@ -476,8 +476,8 @@ Pipeline::execute_and_compare()
         static_cast<ExecutionTotals &>(checkpoint_.execution) = stats_;
     };
 
-    // Reused across tests: fresh 4 MiB snapshot allocations per test
-    // would dominate (and distort) the measured execution costs.
+    // Reused across tests: each snapshot keeps its page buffers, so a
+    // warm run copies the pages it wrote and allocates nothing.
     harness::BackendRun hifi_run, lofi_run, hw_run;
     u32 tests_since_checkpoint = 0;
     std::size_t done = start;

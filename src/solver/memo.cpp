@@ -11,8 +11,8 @@ std::size_t
 QueryMemo::KeyHash::operator()(const QueryKey &key) const
 {
     u64 h = 0x706f6b656d656d6fULL; // "pokememo"
-    for (u64 v : key)
-        h = mix64(h ^ mix64(v));
+    for (const ir::Expr *node : key)
+        h = mix64(h ^ mix64(node->hash()));
     return static_cast<std::size_t>(h);
 }
 
@@ -28,9 +28,16 @@ QueryMemo::canonical_key(const std::vector<ir::ExprRef> &conditions,
                 return false;
             continue; // Constant-true: contributes nothing.
         }
-        out.push_back(cond->hash());
+        out.push_back(cond.get());
     }
-    std::sort(out.begin(), out.end());
+    // By hash first, so the key's order (and its bucket) does not
+    // depend on where nodes were allocated.
+    std::sort(out.begin(), out.end(),
+              [](const ir::Expr *x, const ir::Expr *y) {
+                  return x->hash() != y->hash()
+                      ? x->hash() < y->hash()
+                      : std::less<const ir::Expr *>()(x, y);
+              });
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return true;
 }

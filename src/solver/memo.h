@@ -13,8 +13,8 @@
  * tiers:
  *
  *  1. Exact: verdict and, for Sat, the satisfying assignment over the
- *     query's variables, keyed by a canonical hash of the conjunction
- *     — a re-submitted conjunction becomes a table lookup.
+ *     query's variables, keyed by the conjunction's set of interned
+ *     conjuncts — a re-submitted conjunction becomes a table lookup.
  *  2. Model reuse (the FuzzBALL satisfying-assignment cache idiom): on
  *     an exact miss, recent cached models are evaluated against the
  *     new conjunction; any assignment that satisfies every conjunct
@@ -45,14 +45,16 @@ namespace pokeemu::solver {
 
 /**
  * Canonical identity of one feasibility query: the sorted, deduplicated
- * structural hashes of the conjunction's non-constant conjuncts.
- * Sorting makes the key order-insensitive (a permuted prefix is the
- * same conjunction); keeping the full vector rather than one combined
- * hash means a collision needs two distinct conjuncts with equal
- * 64-bit structural hashes in the same slot, not merely two
- * conjunctions whose combined hashes collide.
+ * interned nodes of the conjunction's non-constant conjuncts.
+ * Expressions are hash-consed, so node identity is structural identity
+ * and two queries share a key exactly when they are the same set of
+ * conjuncts; structural hashes, which can collide, only order the key
+ * and pick its bucket. Sorting makes the key order-insensitive (a
+ * permuted prefix is the same conjunction). Interning is per thread
+ * and interned nodes are never freed, so the pointers stay valid and
+ * comparable for as long as the one worker that owns a memo runs.
  */
-using QueryKey = std::vector<u64>;
+using QueryKey = std::vector<const ir::Expr *>;
 
 /** One memoized verdict. The model covers exactly the variables that
  *  appear in the conjunction — enough to witness satisfiability. */

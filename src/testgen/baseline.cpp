@@ -39,19 +39,20 @@ std::vector<u8> build_baseline_ram();
 
 } // namespace
 
-const std::vector<u8> &
+const arch::RamImage &
 baseline_ram_template()
 {
     // The image is immutable; build once (tests run by the thousand
     // and a rebuild per test dominates runtime).
-    static const std::vector<u8> image = build_baseline_ram();
+    static const arch::RamImage image =
+        arch::make_ram_image(build_baseline_ram());
     return image;
 }
 
 std::vector<u8>
 make_baseline_ram()
 {
-    return baseline_ram_template();
+    return *baseline_ram_template();
 }
 
 namespace {
@@ -175,7 +176,7 @@ baseline_result()
 {
     static const BaselineResult result = [] {
         backend::DirectCpu hw(backend::hardware_behavior());
-        hw.reset(make_reset_state(), make_baseline_ram());
+        hw.reset(make_reset_state(), baseline_ram_template(), 0, {});
         // Run the initializer: it ends by jumping to the default test
         // program, whose hlt stops execution.
         const auto stop = hw.run(1024);
@@ -183,7 +184,7 @@ baseline_result()
             // Construction-time invariant shared by every unit of
             // work, not attributable to one. lint: allow-panic
             panic("baseline initializer did not halt cleanly");
-        BaselineResult r{hw.cpu(), hw.snapshot().ram};
+        BaselineResult r{hw.cpu(), hw.snapshot().ram.to_bytes()};
         // The state we hand to exploration is the state at the test
         // program's entry: un-halt and rewind EIP onto the test code.
         r.cpu.halted = 0;

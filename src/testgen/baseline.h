@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "arch/guest_ram.h"
 #include "arch/layout.h"
 #include "arch/state.h"
 
@@ -42,8 +43,11 @@ constexpr u32 kBaselineEflags = 0x202; // IF=1 + fixed bit.
  */
 std::vector<u8> make_baseline_ram();
 
-/** The immutable baseline image template (no copy). */
-const std::vector<u8> &baseline_ram_template();
+/**
+ * The baseline image as the process-wide shared base every test run
+ * resets onto (arch::GuestRam). Built once; never written.
+ */
+const arch::RamImage &baseline_ram_template();
 
 /**
  * CPU state as the boot loader leaves it: protected mode, flat

@@ -82,60 +82,70 @@ TEST(Descriptors, EffectiveLimit)
     EXPECT_EQ(d.effective_limit(), 0x12345u);
 }
 
+/** A zero kPhysMemSize image: page walks run on a GuestRam. */
+RamImage
+zero_image()
+{
+    return make_ram_image(std::vector<u8>(kPhysMemSize, 0));
+}
+
+void
+put32(GuestRam &ram, u32 a, u32 v)
+{
+    for (u32 i = 0; i < 4; ++i)
+        ram.write8(a + i, static_cast<u8>(v >> (8 * i)));
+}
+
 TEST(Paging, LinearMapTranslates)
 {
-    std::vector<u8> ram(kPhysMemSize, 0);
+    GuestRam ram;
+    ram.reset(zero_image());
     // PD entry 0 -> PT at 0x2000; PT entry i -> frame i.
-    auto put32 = [&](u32 a, u32 v) {
-        for (int i = 0; i < 4; ++i)
-            ram[a + i] = static_cast<u8>(v >> (8 * i));
-    };
-    put32(0x1000, 0x2000 | kPtePresent | kPteRw | kPteUser);
+    put32(ram, 0x1000, 0x2000 | kPtePresent | kPteRw | kPteUser);
     for (u32 i = 0; i < 1024; ++i)
-        put32(0x2000 + 4 * i,
+        put32(ram, 0x2000 + 4 * i,
               (i << 12) | kPtePresent | kPteRw | kPteUser);
 
-    auto tr = translate_linear(ram.data(), 0x1000, 0x1234,
-                               {false, false}, false, true);
+    auto tr = translate_linear(ram, 0x1000, 0x1234, {false, false},
+                               false, true);
     ASSERT_TRUE(tr.ok);
     EXPECT_EQ(tr.phys, 0x1234u);
     // Accessed bits set by the walk.
-    EXPECT_TRUE(ram[0x1000] & kPteAccessed);
-    EXPECT_TRUE(ram[0x2004] & kPteAccessed);
+    EXPECT_TRUE(ram.read8(0x1000) & kPteAccessed);
+    EXPECT_TRUE(ram.read8(0x2004) & kPteAccessed);
 
     // Write marks dirty.
-    tr = translate_linear(ram.data(), 0x1000, 0x5678, {true, false},
-                          false, true);
+    tr = translate_linear(ram, 0x1000, 0x5678, {true, false}, false,
+                          true);
     ASSERT_TRUE(tr.ok);
-    EXPECT_TRUE(ram[0x2000 + 4 * 5] & kPteDirty);
+    EXPECT_TRUE(ram.read8(0x2000 + 4 * 5) & kPteDirty);
 }
 
 TEST(Paging, NotPresentFaults)
 {
-    std::vector<u8> ram(kPhysMemSize, 0);
-    auto tr = translate_linear(ram.data(), 0x1000, 0x1234,
-                               {false, false}, false, true);
+    GuestRam ram;
+    ram.reset(zero_image());
+    auto tr = translate_linear(ram, 0x1000, 0x1234, {false, false},
+                               false, true);
     EXPECT_FALSE(tr.ok);
     EXPECT_EQ(tr.pf_error, 0u); // Not-present, read, supervisor.
 }
 
 TEST(Paging, WriteProtectRespectsWp)
 {
-    std::vector<u8> ram(kPhysMemSize, 0);
-    auto put32 = [&](u32 a, u32 v) {
-        for (int i = 0; i < 4; ++i)
-            ram[a + i] = static_cast<u8>(v >> (8 * i));
-    };
-    put32(0x1000, 0x2000 | kPtePresent | kPteRw | kPteUser);
-    put32(0x2000, 0x0000 | kPtePresent | kPteUser); // Read-only page 0.
+    GuestRam ram;
+    ram.reset(zero_image());
+    put32(ram, 0x1000, 0x2000 | kPtePresent | kPteRw | kPteUser);
+    // Read-only page 0.
+    put32(ram, 0x2000, 0x0000 | kPtePresent | kPteUser);
 
     // Supervisor write, WP=0: allowed.
-    auto tr = translate_linear(ram.data(), 0x1000, 0x10, {true, false},
-                               false, true);
+    auto tr = translate_linear(ram, 0x1000, 0x10, {true, false}, false,
+                               true);
     EXPECT_TRUE(tr.ok);
     // Supervisor write, WP=1: #PF with P|W error bits.
-    tr = translate_linear(ram.data(), 0x1000, 0x10, {true, false},
-                          true, true);
+    tr = translate_linear(ram, 0x1000, 0x10, {true, false}, true,
+                          true);
     EXPECT_FALSE(tr.ok);
     EXPECT_EQ(tr.pf_error, kPfErrPresent | kPfErrWrite);
 }
@@ -369,14 +379,17 @@ TEST(Assembler, JmpAbsRelocation)
 
 TEST(Snapshot, DiffFindsFieldAndMemoryChanges)
 {
+    GuestRam ram;
+    ram.reset(zero_image());
     Snapshot a, b;
-    a.ram.assign(kPhysMemSize, 0);
+    ram.snapshot_into(a.ram);
     b.ram = a.ram;
     EXPECT_TRUE(diff_snapshots(a, b).empty());
 
     b.cpu.gpr[kEax] = 42;
-    b.ram[0x1234] = 1;
-    b.ram[0x1235] = 2;
+    ram.write8(0x1234, 1);
+    ram.write8(0x1235, 2);
+    ram.snapshot_into(b.ram);
     SnapshotDiff d = diff_snapshots(a, b);
     EXPECT_FALSE(d.empty());
     ASSERT_EQ(d.cpu.size(), 1u);

@@ -11,6 +11,27 @@ namespace {
 
 namespace layout = arch::layout;
 
+/** Snapshot memory of @p n zero bytes, nothing written. */
+arch::RamView
+zero_ram(std::size_t n)
+{
+    return arch::RamView(arch::make_ram_image(std::vector<u8>(n, 0)));
+}
+
+/** Snapshot memory: @p base with @p writes applied by a run. */
+arch::RamView
+written_ram(const arch::RamImage &base,
+            std::initializer_list<std::pair<u32, u8>> writes)
+{
+    arch::GuestRam ram;
+    ram.reset(base);
+    for (const auto &[addr, value] : writes)
+        ram.write8(addr, value);
+    arch::RamView view;
+    ram.snapshot_into(view);
+    return view;
+}
+
 arch::DecodedInsn
 decode_insn(std::initializer_list<u8> bytes)
 {
@@ -37,7 +58,7 @@ TEST(Filter, PureUndefinedFlagDiffIsRemoved)
     arch::Snapshot a, b;
     a.cpu.eflags = arch::kFlagFixed1;
     b.cpu.eflags = arch::kFlagFixed1 | arch::kFlagAf | arch::kFlagOf;
-    a.ram.assign(16, 0);
+    a.ram = zero_ram(16);
     b.ram = a.ram;
     const auto diff = arch::diff_snapshots(a, b);
     ASSERT_FALSE(diff.empty());
@@ -51,7 +72,7 @@ TEST(Filter, DefinedFlagDiffSurvives)
     arch::Snapshot a, b;
     a.cpu.eflags = arch::kFlagFixed1;
     b.cpu.eflags = arch::kFlagFixed1 | arch::kFlagZf; // ZF is defined.
-    a.ram.assign(16, 0);
+    a.ram = zero_ram(16);
     b.ram = a.ram;
     const auto filtered =
         filter_undefined(insn, a, b, arch::diff_snapshots(a, b));
@@ -67,7 +88,7 @@ TEST(Filter, BsfZeroSourceDestIgnored)
     a.cpu.eflags = b.cpu.eflags = arch::kFlagFixed1 | arch::kFlagZf;
     a.cpu.gpr[arch::kEdx] = 7;
     b.cpu.gpr[arch::kEdx] = 0;
-    a.ram.assign(16, 0);
+    a.ram = zero_ram(16);
     b.ram = a.ram;
     const auto filtered =
         filter_undefined(insn, a, b, arch::diff_snapshots(a, b));
@@ -77,7 +98,9 @@ TEST(Filter, BsfZeroSourceDestIgnored)
 TEST(Cluster, ClassifiesSeededRootCauses)
 {
     arch::Snapshot hw, other;
-    hw.ram.assign(arch::kPhysMemSize, 0);
+    const arch::RamImage zeros =
+        arch::make_ram_image(std::vector<u8>(arch::kPhysMemSize, 0));
+    hw.ram = arch::RamView(zeros);
     other.ram = hw.ram;
 
     // leave with both sides faulting but different ESP.
@@ -109,7 +132,7 @@ TEST(Cluster, ClassifiesSeededRootCauses)
         arch::Snapshot a = other, b = hw;
         b.cpu.exception.vector = arch::kExcGp;
         b.cpu.exception.has_error_code = true;
-        a.ram[0x100] = 0xab;
+        a.ram = written_ram(zeros, {{0x100, 0xab}});
         const auto insn = decode_insn({0x89, 0x08});
         const auto diff = arch::diff_snapshots(a, b);
         EXPECT_EQ(classify_difference(insn, diff, a, b),
@@ -128,8 +151,8 @@ TEST(Cluster, ClassifiesSeededRootCauses)
     // Accessed flag: GDT byte + cached access only.
     {
         arch::Snapshot a = other, b = hw;
-        b.ram[layout::kPhysGdt + 8 * 3 + 5] = 0x93;
-        a.ram[layout::kPhysGdt + 8 * 3 + 5] = 0x92;
+        b.ram = written_ram(zeros, {{layout::kPhysGdt + 8 * 3 + 5, 0x93}});
+        a.ram = written_ram(zeros, {{layout::kPhysGdt + 8 * 3 + 5, 0x92}});
         b.cpu.seg[arch::kDs].access = 0x93;
         a.cpu.seg[arch::kDs].access = 0x92;
         const auto insn = decode_insn({0x8e, 0xd8}); // mov ds, ax
@@ -143,7 +166,7 @@ TEST(Cluster, AccumulatesAndSorts)
 {
     RootCauseClusterer clusterer;
     arch::Snapshot a, b;
-    a.ram.assign(16, 0);
+    a.ram = zero_ram(16);
     b.ram = a.ram;
     b.cpu.exception.vector = arch::kExcGp;
     b.cpu.exception.has_error_code = true;

@@ -38,25 +38,25 @@ class Semantics : public ::testing::Test
         state.halted = 0;
         state.eip = layout::kPhysTestCode;
         state.exception = arch::ExceptionInfo{};
-        std::copy(code.begin(), code.end(),
-                  ram.begin() + layout::kPhysTestCode);
-        ram[layout::kPhysTestCode + code.size()] = 0xf4; // hlt
+        std::vector<u8> program(code);
+        program.push_back(0xf4); // hlt
+        const arch::RamImage image = arch::make_ram_image(ram);
 
         hifi::HiFiEmulator hifi_emu(
             {/*hifi_far_fetch_order=*/false, nullptr});
-        hifi_emu.reset(state, ram);
+        hifi_emu.reset(state, image, layout::kPhysTestCode, program);
         hifi_emu.run(max_insns);
 
         backend::Behavior hw_behavior = backend::hardware_behavior();
         hw_behavior.shift_clears_af = true; // Align with the Hi-Fi IR.
         backend::DirectCpu hw(hw_behavior);
-        hw.reset(state, ram);
+        hw.reset(state, image, layout::kPhysTestCode, program);
         hw.run(max_insns);
 
         const auto diff =
             arch::diff_snapshots(hifi_emu.snapshot(), hw.snapshot());
         EXPECT_TRUE(diff.empty()) << diff.to_string();
-        ram = hw.snapshot().ram;
+        ram = hw.snapshot().ram.to_bytes();
         return hw.cpu();
     }
 };

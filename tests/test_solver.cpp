@@ -514,6 +514,31 @@ TEST(QueryMemo, ModelReuseServesSubsumedQueries)
     EXPECT_EQ(solver.model_value(x), 9u);
 }
 
+TEST(QueryMemo, HashCollidingConjunctsGetDistinctEntries)
+{
+    // Two distinct decoder conjuncts with one structural hash. Keyed by
+    // hashes, {a, b, x} and {a, x} shared one entry, and {a, x} was
+    // served the Unsat of {a, b, x}: a feasible branch pruned.
+    auto byte0 = E::var(0, "insn_byte_0", 8);
+    auto byte2 = E::var(2, "insn_byte_2", 8);
+    auto a = E::lnot(E::ult(byte0, E::constant(8, 0x64)));
+    auto b = E::lnot(E::ult(byte2, E::constant(8, 0xea)));
+    auto x = E::ult(byte2, E::constant(8, 0xea));
+    ASSERT_NE(a.get(), b.get());
+    ASSERT_EQ(a->hash(), b->hash());
+
+    QueryMemo memo;
+    Solver solver;
+    solver.set_memo(&memo);
+    ASSERT_EQ(solver.check({a, b, x}), CheckResult::Unsat);
+    ASSERT_EQ(solver.check({a, x}), CheckResult::Sat);
+    EXPECT_EQ(memo.entries(), 2u);
+    Assignment model;
+    model.set(0, solver.model_value(byte0));
+    model.set(2, solver.model_value(byte2));
+    EXPECT_TRUE(model.satisfies({a, x}));
+}
+
 TEST(QueryMemo, TrivialConstantQueriesBypassTheCache)
 {
     QueryMemo memo;
