@@ -1,17 +1,19 @@
 /**
  * @file
- * Coverage-at-cap bench: explore a capped multi-path workload twice —
- * frontier scheduling (uncovered-edge-first) vs the default seeded
- * path order — and compare the block/edge coverage the surviving
- * paths achieve at the same cap, plus wall clock, emitting
- * BENCH_coverage.json.
+ * Coverage-at-cap bench: explore a capped multi-path workload three
+ * times — path-cover scheduling (PathCoverFirst), frontier scheduling
+ * (UncoveredEdgeFirst) and the default seeded path order — and compare
+ * the block/edge coverage the surviving paths achieve at the same cap,
+ * plus wall clock, emitting BENCH_coverage.json.
  *
  * This is the coverage subsystem's reason to exist: under a path cap
- * the exploration order decides *which* paths survive, and the
- * frontier scheduler must buy strictly more IR coverage for the same
- * budget. The process exits nonzero unless frontier coverage
- * (blocks + edges) is strictly higher, so the ctest smoke run gates
- * the claim.
+ * the exploration order decides *which* paths survive. The frontier
+ * scheduler must buy strictly more IR coverage than the default order
+ * for the same budget, and the static path-cover scaffold at least as
+ * much as the frontier heuristic (a chain score that steers exploration
+ * *away* from new structure fails it). The process exits nonzero
+ * unless both hold for blocks + edges, so the ctest smoke run gates
+ * both claims.
  *
  * Scale knobs: POKEEMU_INSNS (workload size, default 12) and
  * POKEEMU_PATHS (per-instruction cap, default 6; low on purpose —
@@ -107,7 +109,8 @@ main(int argc, char **argv)
     }
 
     bench::header("bench_coverage",
-                  "coverage at a path cap: frontier vs default order");
+                  "coverage at a path cap: path-cover vs frontier vs "
+                  "default order");
     const std::size_t insns = static_cast<std::size_t>(std::min<u64>(
         bench::env_u64("POKEEMU_INSNS", smoke ? 8 : 12),
         std::size(kWorkload)));
@@ -122,38 +125,49 @@ main(int argc, char **argv)
                                   testgen::baseline_ram_after_init(),
                                   &summary);
 
-    const Row frontier =
+    const Row rows[] = {
+        sweep(coverage::SchedulePolicy::PathCoverFirst, spec, summary,
+              insns, cap),
         sweep(coverage::SchedulePolicy::UncoveredEdgeFirst, spec,
-              summary, insns, cap);
-    const Row fallback = sweep(coverage::SchedulePolicy::DefaultOrder,
-                               spec, summary, insns, cap);
+              summary, insns, cap),
+        sweep(coverage::SchedulePolicy::DefaultOrder, spec, summary,
+              insns, cap),
+    };
+    const Row &pathcover = rows[0];
+    const Row &frontier = rows[1];
+    const Row &fallback = rows[2];
 
-    std::printf("schedule  blocks        edges         paths  "
+    std::printf("schedule   blocks        edges         paths  "
                 "truncated  wall(s)\n");
-    for (const Row *row : {&frontier, &fallback}) {
-        std::printf("%-8s  %5llu/%-5llu  %5llu/%-5llu  %5llu  %9llu  "
+    for (const Row &row : rows) {
+        std::printf("%-9s  %5llu/%-5llu  %5llu/%-5llu  %5llu  %9llu  "
                     "%7.3f\n",
-                    row->schedule,
-                    static_cast<unsigned long long>(row->covered_blocks),
-                    static_cast<unsigned long long>(row->total_blocks),
-                    static_cast<unsigned long long>(row->covered_edges),
-                    static_cast<unsigned long long>(row->total_edges),
-                    static_cast<unsigned long long>(row->paths),
-                    static_cast<unsigned long long>(row->truncated),
-                    row->wall_seconds);
+                    row.schedule,
+                    static_cast<unsigned long long>(row.covered_blocks),
+                    static_cast<unsigned long long>(row.total_blocks),
+                    static_cast<unsigned long long>(row.covered_edges),
+                    static_cast<unsigned long long>(row.total_edges),
+                    static_cast<unsigned long long>(row.paths),
+                    static_cast<unsigned long long>(row.truncated),
+                    row.wall_seconds);
     }
-    const u64 frontier_total =
-        frontier.covered_blocks + frontier.covered_edges;
-    const u64 fallback_total =
-        fallback.covered_blocks + fallback.covered_edges;
-    const bool frontier_wins = frontier_total > fallback_total;
-    std::printf("frontier coverage gain at the cap: %+lld blocks, "
-                "%+lld edges (%s)\n",
-                static_cast<long long>(frontier.covered_blocks) -
-                    static_cast<long long>(fallback.covered_blocks),
-                static_cast<long long>(frontier.covered_edges) -
-                    static_cast<long long>(fallback.covered_edges),
-                frontier_wins ? "strictly higher" : "NOT HIGHER");
+    const auto gain = [](const Row &a, const Row &b) {
+        std::printf("%s vs %s at the cap: %+lld blocks, %+lld edges\n",
+                    a.schedule, b.schedule,
+                    static_cast<long long>(a.covered_blocks) -
+                        static_cast<long long>(b.covered_blocks),
+                    static_cast<long long>(a.covered_edges) -
+                        static_cast<long long>(b.covered_edges));
+        return static_cast<long long>(a.covered_blocks +
+                                      a.covered_edges) -
+            static_cast<long long>(b.covered_blocks + b.covered_edges);
+    };
+    const bool frontier_wins = gain(frontier, fallback) > 0;
+    const bool pathcover_holds = gain(pathcover, frontier) >= 0;
+    std::printf("frontier strictly higher than default: %s\n"
+                "pathcover at least frontier: %s\n",
+                frontier_wins ? "yes" : "NO",
+                pathcover_holds ? "yes" : "NO");
 
     {
         std::FILE *out = std::fopen("BENCH_coverage.json", "w");
@@ -168,10 +182,11 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(cap));
         std::fprintf(out, "  \"frontier_strictly_higher\": %s,\n",
                      frontier_wins ? "true" : "false");
+        std::fprintf(out, "  \"pathcover_at_least_frontier\": %s,\n",
+                     pathcover_holds ? "true" : "false");
         std::fprintf(out, "  \"runs\": [\n");
-        const Row *rows[] = {&frontier, &fallback};
-        for (std::size_t i = 0; i < 2; ++i) {
-            const Row *row = rows[i];
+        for (std::size_t i = 0; i < std::size(rows); ++i) {
+            const Row &row = rows[i];
             std::fprintf(
                 out,
                 "    {\"schedule\": \"%s\", "
@@ -179,18 +194,18 @@ main(int argc, char **argv)
                 "\"covered_edges\": %llu, \"total_edges\": %llu, "
                 "\"paths\": %llu, \"truncated\": %llu, "
                 "\"wall_seconds\": %.6f}%s\n",
-                row->schedule,
-                static_cast<unsigned long long>(row->covered_blocks),
-                static_cast<unsigned long long>(row->total_blocks),
-                static_cast<unsigned long long>(row->covered_edges),
-                static_cast<unsigned long long>(row->total_edges),
-                static_cast<unsigned long long>(row->paths),
-                static_cast<unsigned long long>(row->truncated),
-                row->wall_seconds, i == 0 ? "," : "");
+                row.schedule,
+                static_cast<unsigned long long>(row.covered_blocks),
+                static_cast<unsigned long long>(row.total_blocks),
+                static_cast<unsigned long long>(row.covered_edges),
+                static_cast<unsigned long long>(row.total_edges),
+                static_cast<unsigned long long>(row.paths),
+                static_cast<unsigned long long>(row.truncated),
+                row.wall_seconds, i + 1 < std::size(rows) ? "," : "");
         }
         std::fprintf(out, "  ]\n}\n");
         std::fclose(out);
     }
     std::printf("wrote BENCH_coverage.json\n");
-    return frontier_wins ? 0 : 1;
+    return frontier_wins && pathcover_holds ? 0 : 1;
 }

@@ -12,8 +12,9 @@
  *    optimized (the OptMode::On stage-4 speedup, isolated from the
  *    rest of the pipeline);
  *  - translation validation wall-clock: the build-time cost of
- *    proving each (original, optimized) pair with the solver (what the
- *    ir_equiv_all ctest pays), plus the failure count.
+ *    proving each (original, optimized) pair with the solver in the
+ *    environment the ir_equiv_all ctest gates (tools/equiv_env.h),
+ *    plus the failure count.
  *
  * The smoke ctest run gates the optimizer contract: strictly positive
  * statement reduction over the workload, byte-identical replay outputs
@@ -29,18 +30,15 @@
 #include <string>
 #include <vector>
 
-#include "analysis/equiv.h"
 #include "analysis/optimize.h"
 #include "arch/decoder.h"
 #include "bench_common.h"
-#include "explore/state_spec.h"
-#include "harness/filter.h"
+#include "equiv_env.h"
 #include "hifi/semantics.h"
 #include "ir/eval.h"
 #include "testgen/testgen.h"
 
 using namespace pokeemu;
-namespace E = ir::E;
 namespace layout = arch::layout;
 
 namespace {
@@ -108,6 +106,7 @@ class HashedMemory final : public ir::ConcreteMemory
 struct Unit
 {
     int index = 0;
+    arch::DecodedInsn insn;
     ir::Program original;
     ir::Program optimized;
 };
@@ -158,6 +157,7 @@ main(int argc, char **argv)
         sem_options.descriptor_summary = &summary;
         Unit u;
         u.index = i;
+        u.insn = insn;
         u.original = hifi::build_semantics(insn, sem_options);
         const auto t0 = std::chrono::steady_clock::now();
         analysis::OptResult r = analysis::optimize_program(u.original);
@@ -230,28 +230,12 @@ main(int argc, char **argv)
     u64 validation_failures = 0;
     const auto tv = std::chrono::steady_clock::now();
     for (const Unit &u : units) {
-        const arch::InsnDesc &desc = arch::insn_table()[u.index];
         symexec::VarPool pool;
-        analysis::EquivOptions eq;
-        eq.preconditions = spec.preconditions(pool);
-        eq.eflags_addr = layout::kEflagsAddr;
-        eq.eflags_ignore_mask = harness::undefined_flags_mask(desc.op);
-        const symexec::InitialByteFn initial = spec.initial_fn(pool);
-        const std::vector<u8> bytes = arch::canonical_encoding(u.index);
-        arch::DecodedInsn insn;
-        (void)arch::decode(bytes.data(), bytes.size(), insn);
-        if (insn.rep || insn.repne) {
-            const u32 ecx = layout::gpr_addr(1);
-            for (u32 k = 1; k < 4; ++k) {
-                eq.preconditions.push_back(
-                    E::eq(initial(ecx + k), E::constant(8, 0)));
-            }
-            eq.preconditions.push_back(
-                E::ule(initial(ecx), E::constant(8, 2)));
-        }
+        const tools::EquivEnv env = tools::equiv_env(u.insn, spec, pool);
         const analysis::EquivResult res =
             analysis::validate_translation(u.original, u.optimized,
-                                           pool, initial, eq);
+                                           pool, env.initial,
+                                           env.options);
         ++validated;
         proven += res.equivalent && res.proven;
         validation_failures += !res.equivalent;

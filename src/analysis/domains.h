@@ -113,8 +113,6 @@ class FactEnv
     /** The installed fact, or top(@p width). */
     Fact var_fact(u32 id, unsigned width) const;
 
-    bool has_var(u32 id) const { return vars_.find(id) != vars_.end(); }
-
     /**
      * Mine a 1-bit condition known to be true for variable-level
      * facts. Understands conjunctions and the comparison shapes the
@@ -126,8 +124,6 @@ class FactEnv
 
     /** Evaluate the fact of @p e under this environment (memoized). */
     Fact eval(const ir::ExprRef &e);
-
-    std::size_t cache_size() const { return cache_.size(); }
 
   private:
     /** Refine `lhs == value` where lhs is a var / extract / band. */

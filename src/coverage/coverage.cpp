@@ -1,6 +1,5 @@
 #include "coverage/coverage.h"
 
-#include <cassert>
 #include <deque>
 
 namespace pokeemu::coverage {
@@ -145,7 +144,6 @@ CoverageMap::cover_path(const std::vector<BlockId> &trace)
             dirty_chains_[chain / 64] &= ~(u64{1} << (chain % 64));
     };
 
-    std::vector<BlockId> lost_sources;
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const BlockId b = trace[i];
         if (!covered_[b]) {
@@ -164,17 +162,14 @@ CoverageMap::cover_path(const std::vector<BlockId> &trace)
                 if (structure_ != nullptr &&
                     structure_->chain_next(b) == trace[i + 1])
                     chain_unit_covered(structure_->chain_of(b));
-                // Covering this edge may have removed b from the
-                // distance BFS source set (sources only shrink).
-                if (distance_valid_ &&
-                    !block_has_uncovered_out_edge(b))
-                    lost_sources.push_back(b);
+                // Covering b's last uncovered out-edge removes b from
+                // the distance BFS sources: the cache is stale.
+                if (!block_has_uncovered_out_edge(b))
+                    distance_valid_ = false;
                 break;
             }
         }
     }
-    if (distance_valid_ && !lost_sources.empty())
-        repair_distance(lost_sources);
 }
 
 bool
@@ -213,53 +208,6 @@ CoverageMap::rebuild_distance() const
         }
     }
     distance_valid_ = true;
-}
-
-void
-CoverageMap::repair_distance(
-    const std::vector<BlockId> &lost_sources) const
-{
-    // Shrinking the source set can only *increase* distances, so a
-    // monotone worklist re-relaxation starting from the lost sources
-    // converges to the new BFS fixpoint: recompute a block from its
-    // successors' current estimates and, on change, requeue its
-    // predecessors. A block chasing a ghost cycle (its only support
-    // was the lost source) climbs past num_blocks - 1 — the longest
-    // possible simple path — and is snapped to unreachable.
-    std::deque<BlockId> queue(lost_sources.begin(),
-                              lost_sources.end());
-    while (!queue.empty()) {
-        const BlockId b = queue.front();
-        queue.pop_front();
-        u32 nd;
-        if (block_has_uncovered_out_edge(b)) {
-            nd = 0;
-        } else {
-            u32 best = kUnreachable;
-            for (BlockId s : cfg_.blocks()[b].succs) {
-                if (distance_[s] != kUnreachable && distance_[s] < best)
-                    best = distance_[s];
-            }
-            nd = best == kUnreachable ? kUnreachable : best + 1;
-            if (nd != kUnreachable && nd >= cfg_.num_blocks())
-                nd = kUnreachable;
-        }
-        if (nd == distance_[b])
-            continue;
-        distance_[b] = nd;
-        for (BlockId pred : cfg_.blocks()[b].preds)
-            queue.push_back(pred);
-    }
-#ifndef NDEBUG
-    // The repaired array must equal a from-scratch BFS. (This repo
-    // keeps asserts on in every build type, so ctest exercises the
-    // equivalence on every covered path; true NDEBUG consumers get
-    // the incremental path alone.)
-    const std::vector<u32> repaired = distance_;
-    rebuild_distance();
-    assert(repaired == distance_ &&
-           "incremental distance repair diverged from full BFS");
-#endif
 }
 
 u32

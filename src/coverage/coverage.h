@@ -105,21 +105,19 @@ class CoverageMap
     /**
      * Record one completed path as the sequence of blocks it entered,
      * in execution order (consecutive entries are CFG edges). Marks
-     * blocks and edges covered and invalidates the distance cache.
+     * blocks and edges covered; when a block loses its last uncovered
+     * out-edge, marks the distance cache stale.
      */
     void cover_path(const std::vector<BlockId> &trace);
 
     /**
      * CFG distance (in edges) from @p block to the source of the
      * nearest uncovered edge; 0 when @p block itself has an uncovered
-     * out-edge, ~u32{0} when no uncovered edge is reachable. Built
-     * lazily by one multi-source reverse BFS, then maintained
-     * *incrementally* across cover_path calls: covering an edge can
-     * only remove BFS sources (blocks with an uncovered out-edge), so
-     * distances only grow, and a worklist re-relaxation touching the
-     * shrunk sources' fan-in repairs the array without the full
-     * rebuild the 8192-cap hot loop cannot afford. Debug builds assert
-     * the repaired array equals a from-scratch BFS.
+     * out-edge, ~u32{0} when no uncovered edge is reachable. One
+     * multi-source reverse BFS from the blocks with an uncovered
+     * out-edge fills a cache; a query after cover_path removed one of
+     * those sources rebuilds it. Covering an edge of a block that
+     * keeps another uncovered out-edge changes no distance.
      */
     u32 distance_to_uncovered(BlockId block) const;
 
@@ -149,7 +147,6 @@ class CoverageMap
 
   private:
     void rebuild_distance() const;
-    void repair_distance(const std::vector<BlockId> &lost_sources) const;
     bool block_has_uncovered_out_edge(BlockId block) const;
 
     analysis::Cfg cfg_;

@@ -21,7 +21,7 @@
  * Staleness stamp: semgen stamps compiled_expected_hash() — a hash of
  * every unit's printed program and shape — into the table. The build
  * regenerates the table whenever semgen relinks, and the ctests that
- * compare the stamp (semgen_crosscheck_all, timing_crosscheck_all,
+ * compare the stamp (semgen_crosscheck_all and
  * CompiledTable.StampMatchesExpectedHash) catch a stale or corrupt
  * table; replay itself never re-derives the hash.
  */
@@ -93,10 +93,11 @@ const CompiledTable &compiled_table();
 
 /** The generated per-unit cycle-cost table (timing/cost_model.h),
  *  parallel to CompiledTable::entries: costs[i] is the cost semgen
- *  derived from the exact program it compiled into entries[i]. The
- *  triples are folded into compiled_expected_hash(), so a cost table
- *  that disagrees with fresh derivation shows as stale together with
- *  the handlers. */
+ *  derived from the exact program it compiled into entries[i].
+ *  compiled_expected_hash() folds freshly derived triples, so a change
+ *  to the derivation rules stales the table together with the
+ *  handlers; semgen_check compares every emitted triple with a fresh
+ *  derivation, which also catches a triple emitted wrongly. */
 struct CompiledCostTable
 {
     const timing::UnitCost *costs;

@@ -213,7 +213,6 @@ class Ctx
     void gen_control();    ///< ret/call/jmp/leave/iret/int.
     void gen_far_load();
     void gen_grp3();
-    void gen_grp5();       ///< inc/dec/call/jmp/push r/m.
     void gen_flagops();    ///< clc/stc/cmc/cli/sti/cld/std/hlt.
     void gen_system();     ///< lgdt/lidt/sgdt/sidt/mov cr/msr/cpuid...
     void gen_bitops();     ///< bt/bts/btr/btc/shld/shrd/bsf/bsr.

@@ -58,12 +58,6 @@ struct BudgetOptions
     /** Budget multiplier for the single retry granted to a unit that
      *  ran out of budget before being marked incomplete. */
     double escalation = 4.0;
-
-    bool
-    any_exploration_limit() const
-    {
-        return insn_exploration_ms || insn_exploration_steps;
-    }
 };
 
 /** Everything the fault-isolation layer can be configured with. */

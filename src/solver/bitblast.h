@@ -33,9 +33,6 @@ class BitBlaster
      */
     const std::vector<Lit> &blast(const ir::ExprRef &expr);
 
-    /** Literal that is constant-true in every model. */
-    Lit true_lit() const { return true_lit_; }
-
     /**
      * Read back the model value of @p expr (typically a Var) after a
      * Sat result; bits never mentioned in any constraint default to 0.

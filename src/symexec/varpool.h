@@ -48,9 +48,6 @@ class VarPool
     /** All variables created so far, in creation order (id order). */
     const std::vector<ir::ExprRef> &all() const { return vars_; }
 
-    /** Lookup by id; id must be valid. */
-    const ir::ExprRef &by_id(u32 id) const { return vars_.at(id); }
-
     std::size_t size() const { return vars_.size(); }
 
   private:

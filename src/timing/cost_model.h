@@ -134,9 +134,9 @@ class CostModel
 /**
  * The process-wide model, built once from the semgen-generated cost
  * table (hifi::compiled_cost_table) — no semantics are rebuilt at
- * run time, so enabling timing costs one table scan. The generated
- * table is verified against fresh derivation by the
- * timing_crosscheck tool and the FNV staleness stamp.
+ * run time, so enabling timing costs one table scan. semgen_check
+ * compares the generated table with fresh derivation, and the FNV
+ * staleness stamp catches a change to the derivation rules.
  */
 const CostModel &cost_model();
 

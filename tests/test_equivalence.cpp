@@ -1,23 +1,25 @@
 /**
  * @file
  * Tests for the §7 equivalence-checking extension: two implementations
- * compared for all inputs with the decision procedure, including the
- * paper's suggested application to the descriptor-load computation.
+ * compared for all inputs with the decision procedure (the translation
+ * validator, analysis/equiv.h), including the paper's suggested
+ * application to the descriptor-load computation.
  */
 #include <gtest/gtest.h>
 
+#include "analysis/equiv.h"
 #include "hifi/semantics.h"
 #include "ir/builder.h"
-#include "symexec/equivalence.h"
 
-namespace pokeemu::symexec {
+namespace pokeemu::analysis {
 namespace {
 
 using ir::ExprRef;
 using ir::IrBuilder;
 using ir::Label;
+using symexec::InitialByteFn;
+using symexec::VarPool;
 namespace E = ir::E;
-namespace layout = arch::layout;
 
 InitialByteFn
 byte_inputs(VarPool &pool, u32 base, unsigned count)
@@ -80,28 +82,30 @@ abs_buggy()
 TEST(Equivalence, BranchingAndBranchlessAbsAgree)
 {
     VarPool pool;
-    const auto result = check_equivalence(
+    const auto result = validate_translation(
         abs_branching(), abs_branchless(), pool,
-        byte_inputs(pool, 0x1000, 4), {{0x2000, 4}});
+        byte_inputs(pool, 0x1000, 4));
     EXPECT_TRUE(result.equivalent);
-    EXPECT_TRUE(result.complete);
-    EXPECT_GE(result.cross_checks, 2u);
+    EXPECT_TRUE(result.proven);
+    EXPECT_GE(result.pairs_checked, 2u);
 }
 
 TEST(Equivalence, BuggyAbsYieldsCounterexample)
 {
     VarPool pool;
-    const auto result = check_equivalence(
+    const auto result = validate_translation(
         abs_branching(), abs_buggy(), pool,
-        byte_inputs(pool, 0x1000, 4), {{0x2000, 4}});
+        byte_inputs(pool, 0x1000, 4));
     ASSERT_FALSE(result.equivalent);
+    ASSERT_TRUE(result.counterexample.has_value());
     // The counterexample must actually distinguish the two: ~x != -x
     // whenever x is negative (they differ by one).
     u32 x = 0;
     for (unsigned i = 0; i < 4; ++i) {
         const auto var = pool.get("in_" + std::to_string(i), 8);
         x |= static_cast<u32>(
-                 result.counterexample.get(var->var_id()) & 0xff)
+                 result.counterexample->assignment.get(var->var_id()) &
+                 0xff)
              << (8 * i);
     }
     EXPECT_LT(static_cast<s32>(x), 0) << "x = " << x;
@@ -125,20 +129,21 @@ TEST(Equivalence, DifferingHaltCodesAreCaught)
         return b.finish();
     };
     VarPool pool;
-    const auto result =
-        check_equivalence(make(false), make(true), pool,
-                          byte_inputs(pool, 0x1000, 1), {});
+    const auto result = validate_translation(
+        make(false), make(true), pool, byte_inputs(pool, 0x1000, 1));
     ASSERT_FALSE(result.equivalent);
+    ASSERT_TRUE(result.counterexample.has_value());
     // The only distinguishing input is exactly x == 10.
     const auto var = pool.get("in_0", 8);
-    EXPECT_EQ(result.counterexample.get(var->var_id()) & 0xff, 10u);
+    EXPECT_EQ(result.counterexample->assignment.get(var->var_id()) & 0xff,
+              10u);
 }
 
 TEST(Equivalence, DescriptorLoadHelperEquivalentToItself)
 {
     // The paper's suggested target: the descriptor-parse computation.
     // The branching helper must be equivalent to a second exploration
-    // of itself (different random seeds, hence different path orders).
+    // of itself, re-run under each of its own path conditions.
     VarPool pool;
     InitialByteFn initial = [&pool](u32 addr) -> ExprRef {
         namespace dh = hifi::desc_helper;
@@ -149,19 +154,13 @@ TEST(Equivalence, DescriptorLoadHelperEquivalentToItself)
         }
         return E::constant(8, 0);
     };
-    namespace dh = hifi::desc_helper;
-    const std::vector<SummaryOutput> outputs = {
-        {dh::kOutBase, 4},
-        {dh::kOutLimit, 4},
-        {dh::kOutAccess, 1},
-        {dh::kOutFault, 1},
-    };
-    const auto result = check_equivalence(
+    const auto result = validate_translation(
         hifi::build_descriptor_load_helper(),
-        hifi::build_descriptor_load_helper(), pool, initial, outputs);
+        hifi::build_descriptor_load_helper(), pool, initial);
     EXPECT_TRUE(result.equivalent);
-    EXPECT_TRUE(result.complete);
-    EXPECT_EQ(result.cross_checks, 16u); // 4 x 4 paths.
+    EXPECT_TRUE(result.proven);
+    EXPECT_EQ(result.original_paths, 4u);
+    EXPECT_EQ(result.pairs_checked, 4u); // One re-run path per path.
 }
 
 TEST(Equivalence, MutatedDescriptorParseIsDetected)
@@ -222,15 +221,76 @@ TEST(Equivalence, MutatedDescriptorParseIsDetected)
         return b.finish();
     }();
 
-    const auto result = check_equivalence(
-        reference, mutated, pool, initial,
-        {{dh::kOutLimit, 4}});
+    const auto result =
+        validate_translation(reference, mutated, pool, initial);
     ASSERT_FALSE(result.equivalent);
+    ASSERT_TRUE(result.counterexample.has_value());
     // The counterexample must have G set and a limit whose shift
     // position matters.
     const auto b6 = pool.get("desc_byte_6", 8);
-    EXPECT_TRUE(result.counterexample.get(b6->var_id()) & 0x80);
+    EXPECT_TRUE(result.counterexample->assignment.get(b6->var_id()) &
+                0x80);
+}
+
+TEST(Equivalence, StepLimitedPathsAreNotAProof)
+{
+    // Count a symbolic byte down to zero: large inputs run out of
+    // steps, and a path with no final state proves nothing, so the
+    // verdict is "no difference found" but not a proof.
+    IrBuilder b("countdown");
+    const ExprRef counter = IrBuilder::imm32(0x2000);
+    b.store(counter, 1, b.load(IrBuilder::imm32(0x1000), 1));
+    Label loop = b.label(), body = b.label(), done = b.label();
+    b.bind(loop);
+    auto c = b.load(counter, 1);
+    b.cjmp(E::eq(c, IrBuilder::imm8(0)), done, body);
+    b.bind(body);
+    b.store(counter, 1, E::sub(c, IrBuilder::imm8(1)));
+    b.jmp(loop);
+    b.bind(done);
+    b.halt(0);
+    const ir::Program countdown = b.finish();
+
+    VarPool pool;
+    EquivOptions options;
+    options.max_steps = 40;
+    const auto result = validate_translation(
+        countdown, countdown, pool, byte_inputs(pool, 0x1000, 1),
+        options);
+    EXPECT_TRUE(result.equivalent);
+    EXPECT_FALSE(result.proven);
+    // Only paths that halt are paired: inputs 0..8 halt within 40
+    // steps, and the paths for 9 and for 10 and up are cut short.
+    EXPECT_EQ(result.original_paths, 11u);
+    EXPECT_EQ(result.pairs_checked, 9u);
+}
+
+TEST(Equivalence, OneSidedStoreIsACounterexample)
+{
+    // Both copy x; the second also writes a byte the first never
+    // touches. All final memory is compared, not a list of outputs, so
+    // that byte is the difference.
+    auto make = [](bool extra_store) {
+        IrBuilder b("copy");
+        auto x = b.load(IrBuilder::imm32(0x1000), 1);
+        b.store(IrBuilder::imm32(0x2000), 1, x);
+        if (extra_store)
+            b.store(IrBuilder::imm32(0x2004), 1, x);
+        b.halt(0);
+        return b.finish();
+    };
+    VarPool pool;
+    const auto result = validate_translation(
+        make(false), make(true), pool, byte_inputs(pool, 0x1000, 1));
+    ASSERT_FALSE(result.equivalent);
+    ASSERT_TRUE(result.counterexample.has_value());
+    EXPECT_FALSE(result.counterexample->halt_mismatch);
+    EXPECT_EQ(result.counterexample->addr, 0x2004u);
+    // The untouched byte reads 0 in the first program, so x != 0.
+    const auto var = pool.get("in_0", 8);
+    EXPECT_NE(result.counterexample->assignment.get(var->var_id()) & 0xff,
+              0u);
 }
 
 } // namespace
-} // namespace pokeemu::symexec
+} // namespace pokeemu::analysis

@@ -500,7 +500,7 @@ TEST(SameTargetCjmpLint, DistinctLeafTargetsAreClean)
 }
 
 // ---------------------------------------------------------------------
-// Incremental distance-to-uncovered maintenance.
+// Distance-to-uncovered cache invalidation.
 // ---------------------------------------------------------------------
 
 /** All feasible block traces of length <= limit from the entry, for
@@ -524,10 +524,11 @@ enumerate_traces(const Cfg &cfg, std::vector<BlockId> &cur,
 
 TEST(IncrementalDistance, MatchesFullRebuildAcrossRandomCfgs)
 {
-    // The repair path itself asserts incremental == from-scratch BFS
-    // (coverage.cpp); this drives it across many shapes and orders,
-    // and re-checks the final distances against an independently
-    // rebuilt map.
+    // cover_path must mark the cached distances stale whenever it
+    // removes a BFS source. Query every block between paths so the
+    // cache is always built, across many shapes and orders; a missed
+    // invalidation leaves stale distances that differ from a map that
+    // only ever built the cache once, at the end.
     for (u64 seed = 1; seed <= 40; ++seed) {
         const ir::Program p = random_program(seed);
         CoverageMap incremental(p);
@@ -536,7 +537,7 @@ TEST(IncrementalDistance, MatchesFullRebuildAcrossRandomCfgs)
         std::vector<BlockId> cur{cfg.entry()};
         enumerate_traces(cfg, cur, traces, 6);
         // Interleave queries (building the cache) with cover_path
-        // (repairing it).
+        // (invalidating it).
         for (const auto &trace : traces) {
             for (BlockId b = 0; b < cfg.num_blocks(); ++b)
                 (void)incremental.distance_to_uncovered(b);

@@ -75,7 +75,7 @@ TEST(DivergenceLabel, ExactHalvingBucketsAsTwoXForAnyTotal)
 
 // ---------------------------------------------------------------------
 // The generated cost table (semgen output the binary was compiled
-// against; timing_crosscheck proves it equals fresh derivation).
+// against; semgen_check proves it equals fresh derivation).
 // ---------------------------------------------------------------------
 
 TEST(CostTable, EveryChargeIsEvenSoHalvingIsExact)

@@ -12,6 +12,12 @@
  * (status, halt code, retired-statement count), the store journal,
  * and thrown-exception outcomes.
  *
+ * It also checks each unit's emitted cycle-cost triple
+ * (compiled_cost_table(), timing/cost_model.h) against a fresh
+ * timing::derive_cost() of the compiled program. The staleness stamp
+ * folds fresh derivations, not the emitted triples, so only this check
+ * sees a triple semgen emitted wrongly.
+ *
  * It then proves each unit's optimization: the unit is rebuilt with
  * the optimizer off, re-optimized (which must print identically to the
  * compiled program), and the (original, optimized) pair is proven
@@ -22,8 +28,9 @@
  * generic-parameter programs — canonical and variant operand forms —
  * that replay actually runs.
  *
- * Any divergence, counterexample or unproven unit prints the unit and
- * exits nonzero, failing the semgen_crosscheck_all ctest.
+ * Any divergence, cost mismatch, counterexample or unproven unit
+ * prints the unit and exits nonzero, failing the semgen_crosscheck_all
+ * ctest.
  */
 #include <cstdio>
 #include <cstring>
@@ -37,6 +44,7 @@
 #include "ir/printer.h"
 #include "support/rng.h"
 #include "testgen/testgen.h"
+#include "timing/cost_model.h"
 
 using namespace pokeemu;
 using hifi::CompiledUnit;
@@ -184,11 +192,13 @@ main(int argc, char **argv)
 
     const auto &units = hifi::compiled_units();
     const hifi::CompiledTable &table = hifi::compiled_table();
-    if (table.num_entries != units.size()) {
+    const hifi::CompiledCostTable &costs = hifi::compiled_cost_table();
+    if (table.num_entries != units.size() ||
+        costs.num != units.size()) {
         std::fprintf(stderr,
-                     "semgen_check: table has %zu entries, %zu units "
-                     "built — regenerate\n",
-                     table.num_entries, units.size());
+                     "semgen_check: table has %zu entries, %zu cost "
+                     "rows, %zu units built — regenerate\n",
+                     table.num_entries, costs.num, units.size());
         return 1;
     }
     if (table.semantics_hash != hifi::compiled_expected_hash()) {
@@ -209,6 +219,7 @@ main(int argc, char **argv)
     u64 units_checked = 0;
     u64 runs = 0;
     u64 mismatches = 0;
+    u64 cost_mismatches = 0;
     u64 unproven = 0;
     for (std::size_t u = 0; u < units.size(); ++u) {
         const CompiledUnit &unit = units[u];
@@ -218,6 +229,24 @@ main(int argc, char **argv)
             continue;
         }
         ++units_checked;
+        const timing::UnitCost &emitted = costs.costs[u];
+        const timing::UnitCost derived = timing::derive_cost(unit.program);
+        if (!(emitted == derived)) {
+            ++cost_mismatches;
+            std::printf("COST MISMATCH unit %zu (%s, row %d): emitted "
+                        "{%llu,%llu,%llu} derived {%llu,%llu,%llu}\n",
+                        u, name, unit.insn.table_index,
+                        static_cast<unsigned long long>(emitted.base),
+                        static_cast<unsigned long long>(
+                            emitted.mem_accesses),
+                        static_cast<unsigned long long>(
+                            emitted.fault_extra),
+                        static_cast<unsigned long long>(derived.base),
+                        static_cast<unsigned long long>(
+                            derived.mem_accesses),
+                        static_cast<unsigned long long>(
+                            derived.fault_extra));
+        }
         const std::string proof = prove_optimization(unit, spec);
         if (!proof.empty()) {
             ++unproven;
@@ -265,16 +294,19 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("semgen_check: %llu units, %llu runs, %llu mismatches; "
-                "%llu/%llu optimizations proven\n",
+    std::printf("semgen_check: %llu units, %llu runs, %llu mismatches, "
+                "%llu cost mismatches; %llu/%llu optimizations proven\n",
                 static_cast<unsigned long long>(units_checked),
                 static_cast<unsigned long long>(runs),
                 static_cast<unsigned long long>(mismatches),
+                static_cast<unsigned long long>(cost_mismatches),
                 static_cast<unsigned long long>(units_checked - unproven),
                 static_cast<unsigned long long>(units_checked));
     if (units_checked == 0) {
         std::fprintf(stderr, "semgen_check: no unit matched --only\n");
         return 1;
     }
-    return mismatches == 0 && unproven == 0 ? 0 : 1;
+    const bool ok =
+        mismatches == 0 && cost_mismatches == 0 && unproven == 0;
+    return ok ? 0 : 1;
 }
