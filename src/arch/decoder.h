@@ -2,11 +2,14 @@
  * @file
  * Concrete VX86 instruction decoder.
  *
- * Used by the semantics generator (to build per-instruction IR), the
- * Lo-Fi emulator, and the hardware model. The Hi-Fi emulator uses an
- * IR re-implementation of the same rules (hifi/decoder_ir.h) so the
- * decode logic itself can be explored symbolically; differential tests
- * keep the two in agreement.
+ * Used by the semantics generator (to build per-instruction IR) and by
+ * all three backends at replay: the Hi-Fi emulator, the Lo-Fi
+ * emulator and the hardware model. Stage 1 explores an IR
+ * re-implementation of the same rules (hifi/decoder_ir.h) so the
+ * decode logic itself can be explored symbolically;
+ * DecoderIr.AgreesWithTableDecoderOnRandomBytes keeps the two in
+ * agreement, fetch faults included, so what replay decodes is what
+ * stage 1 explored.
  */
 #ifndef POKEEMU_ARCH_DECODER_H
 #define POKEEMU_ARCH_DECODER_H

@@ -17,17 +17,6 @@ injection_site(Backend backend)
     return support::FaultSite::BackendHw;
 }
 
-/** The runner owns the timing switch: merge it into the Hi-Fi options
- *  before the member is constructed (Config::timing is authoritative
- *  so callers cannot half-enable accounting via hifi_options). */
-hifi::SemanticsOptions
-hifi_options_of(const TestRunner::Config &config)
-{
-    hifi::SemanticsOptions options = config.hifi_options;
-    options.timing = config.timing;
-    return options;
-}
-
 } // namespace
 
 const char *
@@ -44,9 +33,10 @@ backend_name(Backend backend)
 TestRunner::TestRunner() : TestRunner(Config{}) {}
 
 TestRunner::TestRunner(const Config &config)
-    : config_(config), hifi_(hifi_options_of(config)),
+    : config_(config), hifi_(config.hifi_options),
       lofi_(config.bugs, config.lofi_misbehavior)
 {
+    hifi_.set_cycle_accounting(config.timing);
     lofi_.set_cycle_accounting(config.timing);
     vmm_.set_cycle_accounting(config.timing);
 }

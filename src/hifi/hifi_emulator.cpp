@@ -1,17 +1,12 @@
 #include "hifi/hifi_emulator.h"
 
-#include <cstring>
-
 #include "arch/paging.h"
 
 namespace pokeemu::hifi {
 
 namespace layout = arch::layout;
 
-HiFiEmulator::HiFiEmulator(SemanticsOptions options)
-    : options_(options), decoder_(build_decoder_program())
-{
-}
+HiFiEmulator::HiFiEmulator(SemanticsOptions options) : options_(options) {}
 
 HiFiEmulator::~HiFiEmulator() = default;
 
@@ -34,7 +29,7 @@ HiFiEmulator::reset(const arch::CpuState &cpu, const std::vector<u8> &ram)
 void
 HiFiEmulator::charge(const arch::DecodedInsn &insn, u32 halt_code)
 {
-    if (!options_.timing)
+    if (!cycle_accounting_)
         return;
     cycles_ += timing::cost_model().cost_for(insn).charge(
         (halt_code & kHaltException) != 0);
@@ -43,7 +38,7 @@ HiFiEmulator::charge(const arch::DecodedInsn &insn, u32 halt_code)
 void
 HiFiEmulator::charge_fault_path()
 {
-    if (options_.timing)
+    if (cycle_accounting_)
         cycles_ += timing::kFaultPathCycles;
 }
 
@@ -125,7 +120,8 @@ HiFiEmulator::record_exception(u8 vector, u32 error, bool has_error,
 }
 
 bool
-HiFiEmulator::step_compiled(const arch::DecodedInsn &insn)
+HiFiEmulator::run_compiled(const arch::DecodedInsn &insn,
+                           ir::RunResult &result)
 {
     const CompiledEntry *entry = compiled_find(insn);
     if (entry == nullptr) {
@@ -133,17 +129,13 @@ HiFiEmulator::step_compiled(const arch::DecodedInsn &insn)
         return false;
     }
     // Generic handlers read immediate/displacement values from the
-    // param block (scratch space the decoder does not use).
+    // param block (semantics scratch they do not otherwise use).
     if (entry->shape.params_ok) {
         store(param_block::kImm, 4, insn.imm);
         store(param_block::kDisp, 4, insn.disp);
     }
-    const ir::RunResult result = entry->handler(*this, 1u << 22);
-    if (result.status != ir::RunStatus::Halted)
-        panic("hifi compiled semantics did not halt");
+    result = entry->handler(*this, 1u << 22);
     ++compiled_hits_;
-    ++insn_count_;
-    charge(insn, result.halt_code);
     return true;
 }
 
@@ -190,23 +182,17 @@ HiFiEmulator::step()
         buf[i] = ram_.read8(phys);
         ++avail;
     }
-    if (avail == 0) {
-        record_exception(fetch_vector, fetch_error, true, fetch_cr2,
-                         fetch_vector == arch::kExcPf);
-        charge_fault_path();
-        return false;
-    }
 
-    // --- Decode by concretely interpreting the IR decoder. ---
-    std::memcpy(scratch_.data(), buf, arch::kMaxInsnLength);
-    ir::RunResult dres = ir::run_concrete(decoder_, *this);
-    if (dres.status != ir::RunStatus::Halted)
-        panic("hifi decoder did not halt");
-    const u64 pos_final = load(decoder_scratch::kPos, 4);
-
-    if (dres.halt_code == kDecodeTooLong ||
-        (pos_final > avail && fetch_fault)) {
-        if (fetch_fault && avail < arch::kMaxInsnLength) {
+    // --- Decode once with the table decoder, which agrees with the
+    // explored IR decoder (hifi/decoder_ir.h) by test. TooLong means
+    // it needed a byte it was not given: the fetch fault when the
+    // fetch stopped short, otherwise #GP past 15 bytes. ---
+    arch::DecodedInsn insn;
+    const arch::DecodeStatus ds = arch::decode(buf, avail, insn);
+    if (ds != arch::DecodeStatus::Ok) {
+        if (ds == arch::DecodeStatus::Invalid) {
+            record_exception(arch::kExcUd, 0, false, 0, false);
+        } else if (fetch_fault) {
             record_exception(fetch_vector, fetch_error, true, fetch_cr2,
                              fetch_vector == arch::kExcPf);
         } else {
@@ -215,48 +201,37 @@ HiFiEmulator::step()
         charge_fault_path();
         return false;
     }
-    if (dres.halt_code == kDecodeInvalid) {
-        record_exception(arch::kExcUd, 0, false, 0, false);
-        charge_fault_path();
-        return false;
-    }
-
-    // --- Cross-check with the table decoder and build semantics. ---
-    arch::DecodedInsn insn;
-    const arch::DecodeStatus ds = arch::decode(buf, avail, insn);
-    if (ds != arch::DecodeStatus::Ok ||
-        insn.table_index != static_cast<int>(dres.halt_code)) {
-        panic("hifi decoder disagrees with table decoder");
-    }
 
     // --- Compiled dispatch (hifi/compiled.h). Handlers are generated
     // under compiled_build_options(); only dispatch when this
     // emulator's options agree on the behavioral knobs, and fall back
     // to the interpreter on a table miss. ---
-    if (options_.compiled == CompiledExec::On &&
-        options_.hifi_far_fetch_order &&
-        options_.descriptor_summary == nullptr &&
-        step_compiled(insn)) {
-        return true;
+    ir::RunResult result;
+    if (options_.compiled != CompiledExec::On ||
+        !options_.hifi_far_fetch_order ||
+        options_.descriptor_summary != nullptr ||
+        !run_compiled(insn, result)) {
+        std::vector<u8> key(insn.bytes, insn.bytes + insn.length);
+        auto it = semantics_cache_.find(key);
+        if (it == semantics_cache_.end()) {
+            auto prog = std::make_shared<ir::Program>(
+                build_semantics(insn, options_));
+            it = semantics_cache_
+                     .emplace(std::move(key),
+                              std::shared_ptr<const ir::Program>(
+                                  std::move(prog)))
+                     .first;
+        }
+        result = ir::run_concrete(*it->second, *this);
     }
-
-    std::vector<u8> key(insn.bytes, insn.bytes + insn.length);
-    auto it = semantics_cache_.find(key);
-    if (it == semantics_cache_.end()) {
-        auto prog = std::make_shared<ir::Program>(
-            build_semantics(insn, options_));
-        it = semantics_cache_
-                 .emplace(std::move(key),
-                          std::shared_ptr<const ir::Program>(
-                              std::move(prog)))
-                 .first;
-    }
-
-    ir::RunResult sres = ir::run_concrete(*it->second, *this);
-    if (sres.status != ir::RunStatus::Halted)
+    // Out of statement budget (a very long rep): the instruction does
+    // not retire and run() reports a timeout.
+    if (result.status == ir::RunStatus::StepLimit)
+        return false;
+    if (result.status != ir::RunStatus::Halted)
         panic("hifi semantics did not halt");
     ++insn_count_;
-    charge(insn, sres.halt_code);
+    charge(insn, result.halt_code);
     return true;
 }
 
@@ -266,6 +241,8 @@ HiFiEmulator::run(u64 max_insns)
     for (u64 i = 0; i < max_insns; ++i) {
         if (!step()) {
             const arch::CpuState c = cpu();
+            if (!c.halted)
+                return StopReason::InsnLimit;
             return c.exception.present() ? StopReason::Exception
                                          : StopReason::Halted;
         }

@@ -1,15 +1,19 @@
 /**
  * @file
  * The Hi-Fi emulator (Bochs analog): a faithful interpreter whose
- * decoder and per-instruction semantics are the same IR programs the
- * symbolic explorer walks — what you explore is what you run.
+ * per-instruction semantics are the same IR programs the symbolic
+ * explorer walks — what you explore is what you run.
  *
  * Concrete execution interprets those programs against the machine-
  * state byte image and guest physical RAM (paper §2: "Bochs is an
  * interpreter"; §5.1 emulator execution with halt/exception
  * interception). Instruction fetch (CS limit check + page walk) is
  * the hand-written harness part, as in the paper where exploration
- * starts after fetch/decode.
+ * starts after fetch/decode. Stage 1 explores the decoder as an IR
+ * program (hifi/decoder_ir.h); replay decodes each fetched
+ * instruction once with the table decoder (arch/decoder.h), whose
+ * agreement with that program is tested
+ * (DecoderIr.AgreesWithTableDecoderOnRandomBytes).
  */
 #ifndef POKEEMU_HIFI_HIFI_EMULATOR_H
 #define POKEEMU_HIFI_HIFI_EMULATOR_H
@@ -19,7 +23,6 @@
 
 #include "arch/snapshot.h"
 #include "hifi/compiled.h"
-#include "hifi/decoder_ir.h"
 #include "hifi/semantics.h"
 #include "ir/eval.h"
 
@@ -29,7 +32,9 @@ namespace pokeemu::hifi {
 enum class StopReason : u8 {
     Halted,     ///< hlt executed.
     Exception,  ///< A fault was recorded (abstract halting handler).
-    InsnLimit,  ///< Budget exhausted (runaway guard).
+    /** Runaway guard: the instruction budget, or one instruction's
+     *  IR statement budget, ran out. */
+    InsnLimit,
 };
 
 /** See file comment. */
@@ -49,7 +54,12 @@ class HiFiEmulator : public ir::ConcreteMemory
     /** Load CPU state and a full physical-memory image. */
     void reset(const arch::CpuState &cpu, const std::vector<u8> &ram);
 
-    /** Execute one instruction. Returns false when already stopped. */
+    /**
+     * Execute one instruction. Returns false when it did not retire
+     * one: already stopped, a fault was recorded, or its semantics ran
+     * out of their statement budget (the CPU is then left unhalted,
+     * mid-instruction).
+     */
     bool step();
 
     /** Run until hlt/exception or @p max_insns. */
@@ -67,8 +77,12 @@ class HiFiEmulator : public ir::ConcreteMemory
     u64 insn_count() const { return insn_count_; }
 
     /** Cycles charged since reset (timing/cost_model.h); 0 unless
-     *  SemanticsOptions::timing is on. */
+     *  cycle accounting is on. */
     u64 cycle_count() const { return cycles_; }
+
+    /** Charge cycles per retired instruction and fault path (off by
+     *  default; see backend::DirectCpu::set_cycle_accounting). */
+    void set_cycle_accounting(bool on) { cycle_accounting_ = on; }
 
     /// @name Compiled-semantics dispatch accounting (since
     /// construction; SemanticsOptions::compiled selects the mode).
@@ -89,10 +103,11 @@ class HiFiEmulator : public ir::ConcreteMemory
     /** Host byte of a CPU-state or scratch address. */
     u8 *resolve(u32 addr);
 
-    /** Dispatch @p insn to its generated handler if one matches.
-     *  Returns true when the instruction was executed; false on a
-     *  table miss (caller falls back to the interpreter). */
-    bool step_compiled(const arch::DecodedInsn &insn);
+    /** Run @p insn's generated handler into @p result if one matches.
+     *  Returns false on a table miss (caller falls back to the
+     *  interpreter). */
+    bool run_compiled(const arch::DecodedInsn &insn,
+                      ir::RunResult &result);
 
     /// @name Cycle charging (mirrors DirectCpu::charge*: identical
     /// decisions for identical executions, so the backends' totals
@@ -104,13 +119,14 @@ class HiFiEmulator : public ir::ConcreteMemory
 
     SemanticsOptions options_;
     std::array<u8, arch::layout::kCpuStateSize> state_{};
-    std::array<u8, 0x100> scratch_{}; ///< Insn buffer + decoder state.
+    /** Semantics scratch and the compiled handlers' param block. */
+    std::array<u8, 0x100> scratch_{};
     arch::GuestRam ram_;
-    ir::Program decoder_;
     std::map<std::vector<u8>, std::shared_ptr<const ir::Program>>
         semantics_cache_;
     u64 insn_count_ = 0;
     u64 cycles_ = 0;
+    bool cycle_accounting_ = false;
     u64 compiled_hits_ = 0;
     u64 compiled_misses_ = 0;
 };

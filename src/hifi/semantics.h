@@ -77,11 +77,6 @@ struct SemanticsOptions
      *  through runner/pipeline/campaign). */
     CompiledExec compiled = CompiledExec::Off;
 
-    /** Accumulate per-run cycle totals (timing/cost_model.h). Like
-     *  `compiled`, consumed by HiFiEmulator only: it never changes
-     *  built programs, semantics caching, or compiled dispatch. */
-    bool timing = false;
-
     /**
      * Internal (semgen / compiled dispatch): emit the instruction's
      * value immediate and displacement as loads from the parameter

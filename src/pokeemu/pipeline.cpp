@@ -9,7 +9,6 @@
 #include "pokeemu/corpus.h"
 #include "support/logging.h"
 #include "support/rng.h"
-#include "timing/cost_model.h"
 
 namespace pokeemu {
 
@@ -375,14 +374,6 @@ Pipeline::explore_and_generate()
         cu.covered_edges = explored.stats.covered_edges;
         cu.total_edges = explored.stats.total_edges;
         cu.truncation = explored.stats.truncation;
-        // Cycle-cost columns (checkpoint v5): the model is static, so
-        // these are recorded whether or not this campaign charges
-        // cycles — every checkpoint documents the costs in force.
-        const timing::UnitCost unit_cost =
-            timing::cost_model().cost_for(insn);
-        cu.cost_base = unit_cost.base;
-        cu.cost_mem_accesses = unit_cost.mem_accesses;
-        cu.cost_fault_extra = unit_cost.fault_extra;
 
         // Stage 3: one test program per path (paper Figure 1(3)).
         // Each test's generation is its own quarantinable unit.

@@ -14,13 +14,14 @@ namespace pokeemu {
 
 namespace {
 
-/** v6 dropped the per-unit IR-optimizer columns and renumbered the
- *  quarantine ledger's stage and fault-class values; v5 added the
- *  cycle-fidelity columns, v4 the optimizer columns, v3 the
- *  solver_queries_avoided column and v2 the coverage columns. Resuming
- *  any older file would misparse or under-report, so load refuses
- *  every other version by name. */
-constexpr const char *kMagic = "pokeemu-checkpoint-v6";
+/** v7 dropped the per-unit cycle-cost columns (a function of the
+ *  unit's row, timing::cost_model()); v6 dropped the per-unit
+ *  IR-optimizer columns and renumbered the quarantine ledger's stage
+ *  and fault-class values; v5 added the cycle-fidelity columns, v4 the
+ *  optimizer columns, v3 the solver_queries_avoided column and v2 the
+ *  coverage columns. Resuming any older file would misparse or
+ *  under-report, so load refuses every other version by name. */
+constexpr const char *kMagic = "pokeemu-checkpoint-v7";
 constexpr const char *kMagicPrefix = "pokeemu-checkpoint-v";
 
 [[noreturn]] void
@@ -57,8 +58,8 @@ hex_decode_string(const std::string &hex)
     return std::string(bytes.begin(), bytes.end());
 }
 
-/** The checkpoint's `counters` row in v6 file order; merge sums the
- *  same list. */
+/** The checkpoint's `counters` row in file order (unchanged since
+ *  v6); merge sums the same list. */
 constexpr u64 ExecutionTotals::*kCounters[] = {
     &ExecutionTotals::tests_executed,
     &ExecutionTotals::lofi_raw_diffs,
@@ -189,8 +190,6 @@ save_checkpoint(std::ostream &out, const Checkpoint &checkpoint)
             << u.total_blocks << " " << u.covered_edges << " "
             << u.total_edges << " "
             << static_cast<unsigned>(u.truncation) << " "
-            << u.cost_base << " " << u.cost_mem_accesses << " "
-            << u.cost_fault_extra << " "
             << u.tests.size() << "\n";
         for (const CheckpointTest &t : u.tests) {
             out << "test " << t.id << " " << t.table_index << " "
@@ -256,8 +255,7 @@ load_checkpoint(std::istream &in)
               u.minimize_bits_before >> u.minimize_bits_after >>
               u.generation_failures >> u.covered_blocks >>
               u.total_blocks >> u.covered_edges >> u.total_edges >>
-              truncation >> u.cost_base >> u.cost_mem_accesses >>
-              u.cost_fault_extra >> ntests)) {
+              truncation >> ntests)) {
             checkpoint_error("truncated unit row");
         }
         if (truncation >= coverage::kNumTruncationReasons)

@@ -123,15 +123,6 @@ struct CheckpointUnit
     /** Why the exploration stopped short (None when complete). */
     coverage::TruncationReason truncation =
         coverage::TruncationReason::None;
-    /** Cycle-cost columns (v5): the unit's derived cost triple
-     *  (timing/cost_model.h) for the explored representative's operand
-     *  form. Recorded in every run — the model is static, so the
-     *  columns are identical whether or not timing ran — making a
-     *  checkpoint self-describing about the costs its campaign
-     *  charged. */
-    u64 cost_base = 0;
-    u64 cost_mem_accesses = 0;
-    u64 cost_fault_extra = 0;
     std::vector<CheckpointTest> tests;
 };
 

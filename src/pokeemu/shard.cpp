@@ -363,7 +363,7 @@ run_campaign(const CampaignOptions &options)
     CampaignResult result;
     result.shards = options.shards;
     result.outcomes.resize(options.shards);
-    if (options.parallel && options.shards > 1) {
+    if (options.shards > 1) {
         std::vector<std::thread> workers;
         std::vector<std::exception_ptr> errors(options.shards);
         workers.reserve(options.shards);

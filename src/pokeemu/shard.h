@@ -58,9 +58,6 @@ struct CampaignOptions
      *  (0 = run to completion) — lets callers simulate interruption;
      *  the next run_campaign with resume=true continues. */
     u32 max_sessions_per_shard = 0;
-    /** Run shard workers on std::threads (false = sequentially in the
-     *  calling thread; identical results, useful for debugging). */
-    bool parallel = true;
 };
 
 /** Deterministic partition of the campaign workload. */

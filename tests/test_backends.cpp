@@ -2,8 +2,9 @@
  * @file
  * Backend tests: IR-decoder/table-decoder agreement, identical
  * baseline boot on all three backends, Hi-Fi vs hardware differential
- * execution on random instruction streams, and one targeted test per
- * seeded Lo-Fi bug (failure injection, paper §6.2).
+ * execution on random instruction streams, one targeted test per
+ * seeded Lo-Fi bug (failure injection, paper §6.2), and fetch and
+ * decode faults on all three backends.
  */
 #include <gtest/gtest.h>
 
@@ -13,8 +14,10 @@
 #include "arch/paging.h"
 #include "arch/descriptors.h"
 #include "backend/direct_cpu.h"
+#include "hifi/decoder_ir.h"
 #include "hifi/hifi_emulator.h"
 #include "ir/eval.h"
+#include "lofi/lofi_emulator.h"
 #include "support/rng.h"
 #include "testgen/baseline.h"
 
@@ -55,23 +58,89 @@ class BufMemory : public ir::ConcreteMemory
     }
 };
 
-/** Run the IR decoder concretely on a 15-byte buffer. */
-u32
+/** What the IR decoder made of a 15-byte buffer: its halt code and
+ *  the number of bytes it consumed (decoder_scratch::kPos). */
+struct IrDecode
+{
+    u32 code = 0;
+    u32 consumed = 0;
+};
+
+IrDecode
 ir_decode(const ir::Program &decoder, const u8 *bytes)
 {
     BufMemory mem;
     std::memcpy(mem.data.data(), bytes, arch::kMaxInsnLength);
-    ir::RunResult r = ir::run_concrete(decoder, mem);
+    const ir::RunResult r = ir::run_concrete(decoder, mem);
     EXPECT_EQ(r.status, ir::RunStatus::Halted);
-    return r.halt_code;
+    return {r.halt_code,
+            static_cast<u32>(mem.load(hifi::decoder_scratch::kPos, 4))};
 }
 
+/// @name What one Hi-Fi step makes of a fetch: a table row (>= 0) or
+/// the fault it raises; kPanic when the IR-decoder step's cross-check
+/// against arch::decode fails.
+/// @{
+constexpr int kFetchFault = -1;
+constexpr int kGpFault = -2;
+constexpr int kUdFault = -3;
+constexpr int kPanic = -4;
+/// @}
+
+/** A step that decodes with the explored IR decoder on the
+ *  zero-padded fetch: its halt code, then its position against the
+ *  bytes fetched, then arch::decode as a cross-check. @p ir is the IR
+ *  decoder's result on that buffer. */
+int
+ir_step_verdict(const IrDecode &ir, const u8 *buf, unsigned avail)
+{
+    const bool fetch_fault = avail < arch::kMaxInsnLength;
+    if (ir.code == hifi::kDecodeTooLong ||
+        (ir.consumed > avail && fetch_fault)) {
+        return fetch_fault ? kFetchFault : kGpFault;
+    }
+    if (ir.code == hifi::kDecodeInvalid)
+        return kUdFault;
+    arch::DecodedInsn insn;
+    if (arch::decode(buf, avail, insn) != arch::DecodeStatus::Ok ||
+        insn.table_index != static_cast<int>(ir.code)) {
+        return kPanic;
+    }
+    return insn.table_index;
+}
+
+/** HiFiEmulator::step's decode: arch::decode alone. */
+int
+table_step_verdict(const u8 *buf, unsigned avail)
+{
+    arch::DecodedInsn insn;
+    switch (arch::decode(buf, avail, insn)) {
+      case arch::DecodeStatus::Ok:
+        return insn.table_index;
+      case arch::DecodeStatus::Invalid:
+        return kUdFault;
+      case arch::DecodeStatus::TooLong:
+        break;
+    }
+    return avail < arch::kMaxInsnLength ? kFetchFault : kGpFault;
+}
+
+/**
+ * Stage 1 explores the IR decoder; replay decodes with arch::decode.
+ * Both steps must reach the same verdict on every input, at full
+ * availability and at every fetch cut short inside the bytes the IR
+ * decoder consumed; at full availability a decoded row's length must
+ * also be what the IR decoder consumed.
+ */
 TEST(DecoderIr, AgreesWithTableDecoderOnRandomBytes)
 {
     const ir::Program decoder = hifi::build_decoder_program();
+    constexpr unsigned kFull = arch::kMaxInsnLength;
+    std::vector<std::array<u8, kFull>> inputs;
+
     Rng rng(2024);
     for (int trial = 0; trial < 4000; ++trial) {
-        u8 buf[arch::kMaxInsnLength];
+        std::array<u8, kFull> buf{};
         if (trial % 2 == 0) {
             // Fully random bytes.
             for (auto &b : buf)
@@ -90,28 +159,72 @@ TEST(DecoderIr, AgreesWithTableDecoderOnRandomBytes)
             if (d.opcode >= 0x100)
                 buf[p++] = 0x0f;
             buf[p++] = static_cast<u8>(d.opcode & 0xff);
-            for (; p < arch::kMaxInsnLength; ++p)
+            for (; p < kFull; ++p)
                 buf[p] = static_cast<u8>(rng.next());
         }
-
-        arch::DecodedInsn insn;
-        const arch::DecodeStatus status =
-            arch::decode(buf, arch::kMaxInsnLength, insn);
-        const u32 code = ir_decode(decoder, buf);
-        switch (status) {
-          case arch::DecodeStatus::Ok:
-            EXPECT_EQ(code, static_cast<u32>(insn.table_index))
-                << "trial " << trial << ": "
-                << arch::to_string(insn);
-            break;
-          case arch::DecodeStatus::Invalid:
-            EXPECT_EQ(code, hifi::kDecodeInvalid) << "trial " << trial;
-            break;
-          case arch::DecodeStatus::TooLong:
-            EXPECT_EQ(code, hifi::kDecodeTooLong) << "trial " << trial;
-            break;
+        inputs.push_back(buf);
+    }
+    // Every 1- and 2-byte prefix, with a zero tail and with a seeded
+    // random tail.
+    Rng tails(2025);
+    for (unsigned prefix_len = 1; prefix_len <= 2; ++prefix_len) {
+        for (u32 prefix = 0; prefix < (1u << (8 * prefix_len));
+             ++prefix) {
+            for (const bool random_tail : {false, true}) {
+                std::array<u8, kFull> buf{};
+                for (unsigned i = 0; i < prefix_len; ++i)
+                    buf[i] = static_cast<u8>(prefix >> (8 * i));
+                for (unsigned i = prefix_len; random_tail && i < kFull;
+                     ++i) {
+                    buf[i] = static_cast<u8>(tails.next());
+                }
+                inputs.push_back(buf);
+            }
         }
     }
+
+    u64 checked = 0, mismatches = 0;
+    const auto expect_same = [&](const std::array<u8, kFull> &input,
+                                 unsigned avail, int ir_verdict,
+                                 int verdict) {
+        ++checked;
+        if (ir_verdict == verdict || ++mismatches > 10)
+            return;
+        std::string hex;
+        for (u8 b : input) {
+            char text[4];
+            std::snprintf(text, sizeof text, "%02x ", b);
+            hex += text;
+        }
+        ADD_FAILURE() << "bytes " << hex << "avail " << avail
+                      << ": IR-decoder step " << ir_verdict
+                      << ", table-decoder step " << verdict;
+    };
+    for (const std::array<u8, kFull> &input : inputs) {
+        const IrDecode full = ir_decode(decoder, input.data());
+        expect_same(input, kFull,
+                    ir_step_verdict(full, input.data(), kFull),
+                    table_step_verdict(input.data(), kFull));
+        arch::DecodedInsn insn;
+        if (arch::decode(input.data(), kFull, insn) ==
+                arch::DecodeStatus::Ok &&
+            insn.length != full.consumed && ++mismatches <= 10) {
+            ADD_FAILURE() << arch::to_string(insn) << ": length "
+                          << unsigned{insn.length} << ", IR decoder "
+                          << full.consumed;
+        }
+        for (unsigned avail = 0;
+             avail < std::min(full.consumed, kFull); ++avail) {
+            // The fetch stopped at a fault; the rest stays zero.
+            std::array<u8, kFull> buf{};
+            std::memcpy(buf.data(), input.data(), avail);
+            expect_same(input, avail,
+                        ir_step_verdict(ir_decode(decoder, buf.data()),
+                                        buf.data(), avail),
+                        table_step_verdict(buf.data(), avail));
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << checked << " verdicts";
 }
 
 // ---------------------------------------------------------------------
@@ -494,6 +607,98 @@ TEST(SeededBugs, HiFiFarFetchOrderDiffersFromHardware)
     const u32 pte_301 = layout::kPhysPageTable + 4 * 0x301;
     EXPECT_FALSE(s_hw.ram[pte_301] & arch::kPteAccessed);
     EXPECT_TRUE(s_hifi.ram[pte_301] & arch::kPteAccessed);
+}
+
+// ---------------------------------------------------------------------
+// Fetch and decode faults: Hi-Fi, hardware and an unbugged Lo-Fi agree
+// on instructions that do not decode or straddle a fetch boundary.
+// ---------------------------------------------------------------------
+
+/** Run @p start on @p image on all three backends; Hi-Fi and
+ *  BugConfig::none() Lo-Fi must end in hardware's snapshot, which is
+ *  returned. */
+Snapshot
+run_three_way(const CpuState &start, const std::vector<u8> &image)
+{
+    backend::DirectCpu hw(backend::hardware_behavior());
+    const Snapshot s_hw = run_on(hw, start, image);
+
+    lofi::LoFiEmulator lofi_emu(lofi::BugConfig::none());
+    lofi_emu.reset(start, image);
+    lofi_emu.run(256);
+    const auto d_lofi = arch::diff_snapshots(s_hw, lofi_emu.snapshot());
+    EXPECT_TRUE(d_lofi.empty()) << "lofi:\n" << d_lofi.to_string();
+
+    hifi::HiFiEmulator hifi_emu;
+    hifi_emu.reset(start, image);
+    EXPECT_EQ(hifi_emu.run(256), hifi::StopReason::Exception);
+    const auto d_hifi = arch::diff_snapshots(s_hw, hifi_emu.snapshot());
+    EXPECT_TRUE(d_hifi.empty()) << "hifi:\n" << d_hifi.to_string();
+    return s_hw;
+}
+
+TEST(FetchDecodeFaults, InvalidOpcodeRaisesUd)
+{
+    // 0f 0b (ud2) is outside the subset.
+    const Snapshot s = run_three_way(
+        testgen::baseline_cpu_state(),
+        test_image([](arch::Assembler &a) { a.raw({0x0f, 0x0b}); }));
+    EXPECT_EQ(s.cpu.exception.vector, arch::kExcUd);
+    EXPECT_FALSE(s.cpu.exception.has_error_code);
+    EXPECT_EQ(s.cpu.eip, layout::kPhysTestCode);
+}
+
+TEST(FetchDecodeFaults, PrefixRunLongerThan15Bytes)
+{
+    // The subset accepts at most arch::kMaxPrefixes prefixes, so a run
+    // of sixteen is refused with #UD at its fifth byte, before the
+    // 15-byte limit could raise #GP.
+    const Snapshot s = run_three_way(
+        testgen::baseline_cpu_state(),
+        test_image([](arch::Assembler &a) {
+            for (int i = 0; i < 16; ++i)
+                a.raw({0x26});
+            a.raw({0x90});
+        }));
+    EXPECT_EQ(s.cpu.exception.vector, arch::kExcUd);
+    EXPECT_EQ(s.cpu.eip, layout::kPhysTestCode);
+}
+
+TEST(FetchDecodeFaults, InstructionCrossingCsLimitRaisesGp)
+{
+    // nop retires; mov eax, imm32 then has three of its five bytes
+    // inside the code segment.
+    CpuState start = testgen::baseline_cpu_state();
+    ASSERT_EQ(start.seg[arch::kCs].base, 0u);
+    start.seg[arch::kCs].limit = start.eip + 3;
+    const Snapshot s = run_three_way(
+        start, test_image([](arch::Assembler &a) {
+            a.raw({0x90});
+            a.mov_r32_imm32(arch::kEax, 0x12345678);
+        }));
+    EXPECT_EQ(s.cpu.exception.vector, arch::kExcGp);
+    EXPECT_TRUE(s.cpu.exception.has_error_code);
+    EXPECT_EQ(s.cpu.exception.error_code, 0u);
+    EXPECT_EQ(s.cpu.eip, layout::kPhysTestCode + 1);
+}
+
+TEST(FetchDecodeFaults, InstructionStraddlingUnmappedPageRaisesPf)
+{
+    // nop fits in the last three mapped bytes and retires; mov eax,
+    // imm32 then has two bytes on the mapped page and three on the
+    // unmapped one after it.
+    const u32 next_page = layout::kPhysTestCode + 0x1000;
+    const u32 at = next_page - 3;
+    std::vector<u8> image = testgen::baseline_ram_after_init();
+    const u8 code[] = {0x90, 0xb8, 0x78, 0x56, 0x34, 0x12};
+    std::copy(std::begin(code), std::end(code), image.begin() + at);
+    unmap_page(image, next_page >> 12);
+    CpuState start = testgen::baseline_cpu_state();
+    start.eip = at;
+    const Snapshot s = run_three_way(start, image);
+    EXPECT_EQ(s.cpu.exception.vector, arch::kExcPf);
+    EXPECT_EQ(s.cpu.cr2, next_page);
+    EXPECT_EQ(s.cpu.eip, at + 1);
 }
 
 TEST(TranslationCache, HitsOnRepeatedExecution)

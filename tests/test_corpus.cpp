@@ -126,6 +126,44 @@ TEST(Corpus, ReplayRefusesAnUndecodableTestInstruction)
     }
 }
 
+TEST(Corpus, LongRepIsAHiFiTimeoutNotAPanic)
+{
+    // mov edi, 0x300000; mov ecx, 0x80000; rep stosb; hlt. Hardware
+    // and Lo-Fi retire the rep as one instruction; Hi-Fi's semantics
+    // run out of their statement budget inside it.
+    const std::vector<u8> code = {0xbf, 0x00, 0x00, 0x30, 0x00,
+                                  0xb9, 0x00, 0x00, 0x08, 0x00,
+                                  0xf3, 0xaa, 0xf4};
+    const u32 rep_offset = 10;
+    const std::optional<arch::DecodedInsn> insn =
+        decode_test_insn(code, rep_offset);
+    ASSERT_TRUE(insn.has_value());
+
+    harness::TestRunner::Config cfg;
+    cfg.bugs = lofi::BugConfig::none();
+    harness::TestRunner runner(cfg);
+    const harness::ThreeWayResult run = runner.run(code);
+    EXPECT_TRUE(run.hifi.timed_out);
+    EXPECT_FALSE(run.lofi.timed_out);
+    EXPECT_FALSE(run.hw.timed_out);
+    EXPECT_EQ(run.lofi.insns, run.hw.insns);
+
+    ExecutionTotals totals;
+    totals.add_test(7, *insn, run.hifi, run.lofi, run.hw, cfg.timing);
+    EXPECT_EQ(totals.hifi_timeouts, 1u);
+    EXPECT_EQ(totals.timeouts, 0u);
+    EXPECT_EQ(totals.lofi_diffs, 0u);
+    ASSERT_EQ(totals.hifi_clusters.clusters().size(), 1u);
+    EXPECT_EQ(totals.hifi_clusters.clusters()[0].root_cause,
+              "timeout-only-hifi");
+
+    const ExecutionTotals replayed = replay_corpus(
+        {CorpusTest{7, code, rep_offset, "rep-stosb"}},
+        lofi::BugConfig::none());
+    EXPECT_EQ(replayed.tests_executed, 1u);
+    EXPECT_EQ(replayed.hifi_timeouts, 1u);
+}
+
 TEST(Corpus, SingleBugConfigsAreDistinguishable)
 {
     // Replay with only one bug enabled at a time: each configuration

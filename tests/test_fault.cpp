@@ -331,13 +331,13 @@ TEST(Checkpoint, SaveLoadRoundTrip)
     const Checkpoint cp = sample_checkpoint();
     std::stringstream ss;
     save_checkpoint(ss, cp);
-    // The exact v6 text: every checkpoint already on disk was written
+    // The exact v7 text: every checkpoint already on disk was written
     // in this layout, so a reordered row must fail here, not load with
     // its columns shifted.
-    EXPECT_EQ(ss.str(), "pokeemu-checkpoint-v6\n"
+    EXPECT_EQ(ss.str(), "pokeemu-checkpoint-v7\n"
                         "fingerprint 244837814094590\n"
                         "explored 1\n"
-                        "unit 50 1 0 9 17 0 0 5 300 40 1 0 0 0 0 0 0 0 0 1\n"
+                        "unit 50 1 0 9 17 0 0 5 300 40 1 0 0 0 0 0 1\n"
                         "test 4 50 2 176 909050f4\n"
                         "executed 1\n"
                         "counters 1 1 0 1 0 0 0 0 0 0 0 0 0 0 0\n"
@@ -415,7 +415,7 @@ TEST(Checkpoint, MalformedInputRejected)
     EXPECT_THROW(load_from("not-a-checkpoint v9"), std::logic_error);
     // Truncated: header promises a unit that never follows.
     EXPECT_THROW(
-        load_from("pokeemu-checkpoint-v6\nfingerprint 1\nexplored 1\n"),
+        load_from("pokeemu-checkpoint-v7\nfingerprint 1\nexplored 1\n"),
         std::logic_error);
 
     // A valid stream with the trailing 'end' clipped off.
@@ -431,7 +431,7 @@ TEST(Checkpoint, OldVersionRefusedByName)
     // An older header is a recognized-but-stale format: the error must
     // name the found version and the current one so the operator knows
     // to restart rather than suspect corruption.
-    for (int v = 1; v <= 5; ++v) {
+    for (int v = 1; v <= 6; ++v) {
         const std::string old =
             "pokeemu-checkpoint-v" + std::to_string(v);
         std::istringstream in(old + "\nfingerprint 1\n");
@@ -441,7 +441,7 @@ TEST(Checkpoint, OldVersionRefusedByName)
         } catch (const std::logic_error &e) {
             const std::string what = e.what();
             EXPECT_NE(what.find(old), std::string::npos) << what;
-            EXPECT_NE(what.find("pokeemu-checkpoint-v6"),
+            EXPECT_NE(what.find("pokeemu-checkpoint-v7"),
                       std::string::npos)
                 << what;
         }

@@ -108,16 +108,6 @@ TEST(Campaign, ReportByteIdenticalAcrossShardCounts)
     EXPECT_EQ(pipeline.stats().to_string(), reference_report());
 }
 
-TEST(Campaign, SequentialSchedulingMatchesParallel)
-{
-    CampaignOptions options = base_campaign();
-    options.shards = 2;
-    options.parallel = false;
-    const CampaignResult result = run_campaign(options);
-    EXPECT_TRUE(result.complete);
-    EXPECT_EQ(result.report(), reference_report());
-}
-
 TEST(Campaign, MergedCheckpointRenumbersTestsSequentially)
 {
     CampaignOptions options = base_campaign();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Cycle-fidelity subsystem tests (DESIGN.md §16): divergence-label
- * ratio buckets, properties of the generated cost table, the v5
- * checkpoint cycle columns, and end-to-end detection of seeded timing
+ * ratio buckets, properties of the generated cost table, the
+ * checkpoint's cycle counters, and end-to-end detection of seeded timing
  * defects as TimingDivergence — never as state diffs or timeouts.
  */
 #include <gtest/gtest.h>
@@ -113,8 +113,8 @@ TEST(CostTable, ModelServesBothOperandForms)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint v5: cycle columns round-trip; every older format is
-// refused by name.
+// Checkpoint: the cycle counters and timing clusters (added in v5)
+// round-trip.
 // ---------------------------------------------------------------------
 
 TEST(CheckpointV5, RoundTripsCycleColumns)
@@ -124,9 +124,6 @@ TEST(CheckpointV5, RoundTripsCycleColumns)
     CheckpointUnit unit;
     unit.table_index = 50;
     unit.complete = true;
-    unit.cost_base = 4;
-    unit.cost_mem_accesses = 2;
-    unit.cost_fault_extra = timing::kExceptionCycles;
     cp.explored.push_back(unit);
     cp.execution.executed_count = 3;
     cp.execution.tests_executed = 3;
@@ -148,10 +145,7 @@ TEST(CheckpointV5, RoundTripsCycleColumns)
     const Checkpoint back = load_checkpoint(ss);
 
     ASSERT_EQ(back.explored.size(), 1u);
-    EXPECT_EQ(back.explored[0].cost_base, 4u);
-    EXPECT_EQ(back.explored[0].cost_mem_accesses, 2u);
-    EXPECT_EQ(back.explored[0].cost_fault_extra,
-              timing::kExceptionCycles);
+    EXPECT_EQ(back.explored[0].table_index, 50);
     EXPECT_EQ(back.execution.hifi_cycles, 120u);
     EXPECT_EQ(back.execution.lofi_cycles, 60u);
     EXPECT_EQ(back.execution.hw_cycles, 120u);

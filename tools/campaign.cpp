@@ -57,7 +57,6 @@ usage(const char *argv0)
                  "                        into the Lo-Fi backend\n"
                  "                        (--list-bugs for names)\n"
                  "  --list-bugs           print seedable bug names\n"
-                 "  --sequential          run shards in one thread\n"
                  "  --verbose             info-level logging\n",
                  argv0);
 }
@@ -197,8 +196,6 @@ main(int argc, char **argv)
         } else if (arg == "--list-bugs") {
             list_bugs(stdout);
             return 0;
-        } else if (arg == "--sequential") {
-            options.parallel = false;
         } else if (arg == "--verbose") {
             set_log_level(LogLevel::Info);
         } else if (arg == "--help" || arg == "-h") {
@@ -235,9 +232,8 @@ main(int argc, char **argv)
         }
         // Layout-dependent accounting, deliberately outside report().
         std::printf("-- layout (not part of the deterministic report)\n");
-        std::printf("shards: %u (%s), sessions: %llu, complete: %s\n",
+        std::printf("shards: %u, sessions: %llu, complete: %s\n",
                     result.shards,
-                    options.parallel ? "parallel" : "sequential",
                     static_cast<unsigned long long>(result.sessions),
                     result.complete ? "yes" : "no");
         std::printf("wall: %.3fs\n", result.wall_seconds);
