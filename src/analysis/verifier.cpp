@@ -1,5 +1,6 @@
 #include "analysis/verifier.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "analysis/cfg.h"
@@ -350,38 +351,42 @@ check_def_before_use(const ir::Program &program, const Cfg &cfg,
             defined_anywhere[static_cast<u32>(def)] = true;
     }
 
+    // Temp sets as 64-bit words, so the meet ANDs 64 temps at a time.
+    using TempSet = std::vector<u64>;
+    const std::size_t words = (num_temps + 63) / 64;
+    const auto define = [&](TempSet &defs, const ir::Stmt &s) {
+        const s64 def = stmt_def(s);
+        if (def >= 0 && def < static_cast<s64>(num_temps)) {
+            const u32 t = static_cast<u32>(def);
+            defs[t / 64] |= u64{1} << (t % 64);
+        }
+    };
+
     // out[b] starts all-defined (optimistic) except the entry, and the
     // meet is intersection over reachable predecessors.
     const u32 nb = cfg.num_blocks();
-    std::vector<std::vector<bool>> out(
-        nb, std::vector<bool>(num_temps, true));
-    const auto transfer = [&](const std::vector<bool> &in, BlockId b) {
-        std::vector<bool> defs = in;
-        const BasicBlock &block = cfg.blocks()[b];
-        for (u32 i = block.first; i < block.end; ++i) {
-            const s64 def = stmt_def(program.stmts[i]);
-            if (def >= 0 && def < static_cast<s64>(num_temps))
-                defs[static_cast<u32>(def)] = true;
-        }
-        return defs;
-    };
-    const auto block_in = [&](BlockId b) {
-        std::vector<bool> in(num_temps, b != cfg.entry());
+    std::vector<TempSet> out(nb, TempSet(words, ~u64{0}));
+    const auto block_in = [&](BlockId b, TempSet &in) {
+        std::fill(in.begin(), in.end(),
+                  b != cfg.entry() ? ~u64{0} : u64{0});
         for (const BlockId p : cfg.blocks()[b].preds) {
             if (!cfg.reachable(p))
                 continue;
-            for (u32 t = 0; t < num_temps; ++t)
-                in[t] = in[t] && out[p][t];
+            for (std::size_t w = 0; w < words; ++w)
+                in[w] &= out[p][w];
         }
-        return in;
     };
+    TempSet next(words);
     bool changed = true;
     while (changed) {
         changed = false;
         for (const BlockId b : cfg.reverse_postorder()) {
-            std::vector<bool> next = transfer(block_in(b), b);
+            block_in(b, next);
+            const BasicBlock &block = cfg.blocks()[b];
+            for (u32 i = block.first; i < block.end; ++i)
+                define(next, program.stmts[i]);
             if (next != out[b]) {
-                out[b] = std::move(next);
+                out[b].swap(next);
                 changed = true;
             }
         }
@@ -389,13 +394,15 @@ check_def_before_use(const ir::Program &program, const Cfg &cfg,
 
     // Report each temp's problem once, at its first offending use.
     std::vector<bool> reported(num_temps, false);
+    TempSet defs(words);
     for (const BlockId b : cfg.reverse_postorder()) {
-        std::vector<bool> defs = block_in(b);
+        block_in(b, defs);
         const BasicBlock &block = cfg.blocks()[b];
         for (u32 i = block.first; i < block.end; ++i) {
             const ir::Stmt &s = program.stmts[i];
             for_each_stmt_use(s, [&](u32 t, unsigned) {
-                if (t >= num_temps || defs[t] || reported[t])
+                if (t >= num_temps || reported[t] ||
+                    ((defs[t / 64] >> (t % 64)) & 1) != 0)
                     return;
                 reported[t] = true;
                 if (!defined_anywhere[t]) {
@@ -410,9 +417,7 @@ check_def_before_use(const ir::Program &program, const Cfg &cfg,
                             "(not defined on all paths)");
                 }
             });
-            const s64 def = stmt_def(s);
-            if (def >= 0 && def < static_cast<s64>(num_temps))
-                defs[static_cast<u32>(def)] = true;
+            define(defs, s);
         }
     }
 }

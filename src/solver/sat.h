@@ -11,6 +11,30 @@
  * MiniSat-style solving under assumptions (which is what makes the
  * exploration loop's thousands of incremental feasibility queries
  * cheap).
+ *
+ * Three data-structure choices keep the search cheap without changing
+ * it:
+ * - Decision order. A decision takes the unassigned variable of
+ *   highest activity, lowest index on ties. Every variable sits in one
+ *   array sorted by (activity desc, index asc), and a cursor skips the
+ *   assigned prefix; backtracking moves the cursor back to the
+ *   earliest variable it unassigns. Conflicts only raise the activities
+ *   of the variables they bump, so the next decision merges those back
+ *   into place (a full sort only after a rescale, which may create
+ *   ties). Exploration queries rarely conflict, so most activities stay
+ *   0; a heap would sift every re-inserted variable through those ties.
+ * - One clause arena. A clause is a slice of one literal vector: its
+ *   size word, then its literals. A clause reference is the offset of
+ *   the size word.
+ * - Binary clauses in the watch lists. A binary clause's watch always
+ *   carries the other literal as its blocker and is tagged binary, so
+ *   propagation keeps, enqueues or reports a conflict without reading
+ *   the arena.
+ *
+ * The decisions, trail order, learned clauses and models are exactly
+ * those of the plain scan-and-vector solver these replaced;
+ * `Sat.SameSearchAsReference` (tests/test_solver.cpp) compares the two
+ * on random incremental streams.
  */
 #ifndef POKEEMU_SOLVER_SAT_H
 #define POKEEMU_SOLVER_SAT_H
@@ -84,41 +108,60 @@ class SatSolver
   private:
     enum : u8 { kUndef = 2 };
 
-    struct Clause
-    {
-        std::vector<Lit> lits;
-        bool learned = false;
-    };
+    /** Offset of a clause's size word in arena_. */
+    using CRef = u32;
+    static constexpr CRef kNoClause = ~CRef{0};
+    static constexpr Lit kNoLit = ~Lit{0};
 
     struct Watch
     {
-        u32 clause_index;
+        u32 tagged; ///< CRef << 1, | 1 for a binary clause.
         Lit blocker;
+
+        CRef cref() const { return tagged >> 1; }
+        bool binary() const { return (tagged & 1) != 0; }
     };
 
-    bool value_is(Lit l, bool expected) const;
-    u8 lit_value(Lit l) const;
-    void enqueue(Lit l, s32 reason);
-    s32 propagate();
-    void analyze(s32 conflict, std::vector<Lit> &learned,
+    Lit *clause_lits(CRef c) { return &arena_[c + 1]; }
+    u32 clause_size(CRef c) const { return arena_[c]; }
+    /** 1 true, 0 false, kUndef or kUndef + 1 unassigned. */
+    u8
+    lit_value(Lit l) const
+    {
+        return assign_[lit_var(l)] ^ static_cast<u8>(l & 1);
+    }
+    void enqueue(Lit l, CRef reason);
+    CRef propagate();
+    void analyze(CRef conflict, std::vector<Lit> &learned,
                  u32 &backtrack_level);
     void backtrack(u32 level);
     Lit pick_branch();
+    void sort_order();
     void bump_var(SatVar v);
     void decay_activities();
-    void attach_clause(u32 ci);
+    void store_clause(const std::vector<Lit> &lits);
 
-    std::vector<Clause> clauses_;
+    std::vector<Lit> arena_;      ///< Every clause: size, then literals.
     std::vector<std::vector<Watch>> watches_; ///< Indexed by literal.
     std::vector<u8> assign_;      ///< Per var: 0/1/kUndef.
     std::vector<u8> phase_;       ///< Saved phase per var.
     std::vector<u32> level_;      ///< Decision level per var.
-    std::vector<s32> reason_;     ///< Clause index or -1 per var.
+    std::vector<CRef> reason_;    ///< Implying clause or kNoClause.
     std::vector<Lit> trail_;
     std::vector<u32> trail_lim_;  ///< Trail size at each decision level.
     u32 qhead_ = 0;
     std::vector<double> activity_;
     double activity_inc_ = 1.0;
+    /** Every variable, by (activity desc, index asc) once sorted. */
+    std::vector<SatVar> order_;
+    /** Per var: its index in order_, or kMoved once bumped. */
+    std::vector<u32> order_pos_;
+    static constexpr u32 kMoved = ~u32{0};
+    /** Every variable before this position in order_ is assigned. */
+    u32 order_head_ = 0;
+    /** Variables bumped since order_ was last sorted. */
+    std::vector<SatVar> moved_;
+    bool rescaled_ = false;       ///< Activities rescaled since then.
     std::vector<u8> seen_;        ///< Scratch for conflict analysis.
     bool root_conflict_ = false;
     u64 conflicts_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ir/printer.h"
+
 namespace pokeemu::solver {
 
 Solver::Solver()
@@ -81,6 +83,9 @@ Solver::check(const std::vector<ir::ExprRef> &conditions)
             }
         }
 
+        if (result == CheckResult::Sat)
+            validate_model(conditions);
+
         if (cacheable) {
             ++stats_.cache_misses;
             MemoEntry entry;
@@ -110,6 +115,44 @@ Solver::check(const std::vector<ir::ExprRef> &conditions)
 }
 
 u64
+Solver::solved_var_value(const ir::Expr &leaf) const
+{
+    if (leaf.kind() != ir::ExprKind::Var)
+        panic("model_value: Temp in solver expression");
+    const std::vector<Lit> *bits = blaster_->var_bits(leaf.var_id());
+    if (bits == nullptr)
+        return 0; // Never constrained: any value works.
+    u64 v = 0;
+    for (std::size_t i = 0; i < bits->size(); ++i) {
+        const Lit l = (*bits)[i];
+        const bool b = lit_sign(l) ? !sat_->model_value(lit_var(l))
+                                   : sat_->model_value(lit_var(l));
+        if (b)
+            v |= u64{1} << i;
+    }
+    return v;
+}
+
+void
+Solver::validate_model(const std::vector<ir::ExprRef> &conditions) const
+{
+    // Evaluate the IR itself over the model's variable values, so a
+    // wrong circuit shows here too, not only a wrong SAT model.
+    const std::function<u64(const ir::Expr &)> lookup =
+        [&](const ir::Expr &leaf) { return solved_var_value(leaf); };
+    for (std::size_t i = 0; i < conditions.size(); ++i) {
+        if (ir::eval_expr(conditions[i], &lookup) != 1) {
+            throw support::FaultError(
+                support::FaultClass::Internal,
+                "solver: the Sat model falsifies condition " +
+                    std::to_string(i) + " of " +
+                    std::to_string(conditions.size()) + ": " +
+                    ir::to_string(conditions[i]));
+        }
+    }
+}
+
+u64
 Solver::model_value(const ir::ExprRef &expr) const
 {
     if (!hit_model_)
@@ -119,23 +162,12 @@ Solver::model_value(const ir::ExprRef &expr) const
     // value is still deterministic.
     std::function<u64(const ir::Expr &)> lookup =
         [&](const ir::Expr &leaf) -> u64 {
-        if (leaf.kind() != ir::ExprKind::Var)
-            panic("model_value: Temp in solver expression");
-        auto it = hit_model_->find(leaf.var_id());
-        if (it != hit_model_->end())
-            return it->second;
-        const std::vector<Lit> *bits = blaster_->var_bits(leaf.var_id());
-        if (bits == nullptr)
-            return 0; // Never constrained: any value works.
-        u64 v = 0;
-        for (std::size_t i = 0; i < bits->size(); ++i) {
-            const Lit l = (*bits)[i];
-            const bool b = lit_sign(l) ? !sat_->model_value(lit_var(l))
-                                       : sat_->model_value(lit_var(l));
-            if (b)
-                v |= u64{1} << i;
+        if (leaf.kind() == ir::ExprKind::Var) {
+            auto it = hit_model_->find(leaf.var_id());
+            if (it != hit_model_->end())
+                return it->second;
         }
-        return v;
+        return solved_var_value(leaf);
     };
     if (expr->is_var())
         return lookup(*expr);

@@ -54,6 +54,12 @@ class Solver
      *
      * When a per-query budget is set, a query that exceeds it throws
      * FaultError(SolverTimeout); the solver remains usable.
+     *
+     * Every Sat the SAT search finds is checked: each condition must
+     * evaluate to 1 (ir::eval_expr) under the model model_value()
+     * serves. A model that falsifies one throws FaultError(Internal)
+     * naming the condition, so the unit is quarantined instead of
+     * yielding a wrong test.
      */
     CheckResult check(const std::vector<ir::ExprRef> &conditions);
 
@@ -102,6 +108,12 @@ class Solver
     const SatSolver &sat() const { return *sat_; }
 
   private:
+    /** Value of the Var @p leaf in the last SAT model (0 when the
+     *  variable was never bit-blasted). */
+    u64 solved_var_value(const ir::Expr &leaf) const;
+    /** Throw unless the last SAT model satisfies every condition. */
+    void validate_model(const std::vector<ir::ExprRef> &conditions) const;
+
     std::unique_ptr<SatSolver> sat_;
     std::unique_ptr<BitBlaster> blaster_;
     SolverStats stats_;

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <set>
 
 #include "explore/insn_explorer.h"
@@ -64,6 +67,39 @@ TEST(InsnSetExploration, CappedRunFindsInstructions)
         ASSERT_EQ(arch::decode(bytes.data(), bytes.size(), insn),
                   arch::DecodeStatus::Ok);
         EXPECT_EQ(insn.table_index, index);
+    }
+}
+
+TEST(InsnSetExploration, CappedRunMatchesRecordedRepresentatives)
+{
+    // A capped run makes the first paths of the full 2-byte seed-1
+    // exploration, so each representative it finds is the one the
+    // benchmark's decode check pins (one "index:hex" line per row).
+    std::ifstream in(POKEEMU_DECODE_SEED1_FILE);
+    ASSERT_TRUE(in) << POKEEMU_DECODE_SEED1_FILE;
+    std::map<int, std::string> recorded;
+    std::string line;
+    while (in >> line) {
+        const std::size_t colon = line.find(':');
+        ASSERT_NE(colon, std::string::npos) << line;
+        recorded[std::stoi(line.substr(0, colon))] = line.substr(colon + 1);
+    }
+
+    InsnSetOptions options;
+    options.symbolic_bytes = 2;
+    options.seed = 1;
+    options.max_paths = 600;
+    const InsnSetResult r = explore_instruction_set(options);
+    EXPECT_GT(r.representatives.size(), 150u);
+    for (const auto &[index, bytes] : r.representatives) {
+        std::string hex;
+        for (const u8 b : bytes) {
+            char buf[3];
+            std::snprintf(buf, sizeof buf, "%02x", b);
+            hex += buf;
+        }
+        ASSERT_TRUE(recorded.count(index)) << "row " << index;
+        EXPECT_EQ(hex, recorded[index]) << "row " << index;
     }
 }
 

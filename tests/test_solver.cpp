@@ -1,6 +1,11 @@
 /** @file Tests for the SAT core and the bit-vector decision procedure. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+
+#include "reference_sat.h"
 #include "solver/solver.h"
 #include "support/rng.h"
 
@@ -138,6 +143,140 @@ TEST(Sat, RandomInstancesAgainstBruteForce)
                 EXPECT_TRUE(any);
             }
         }
+    }
+}
+
+/**
+ * The solver and the reference copy of the one it replaced
+ * (tests/reference_sat.h), fed the same operations. Every solve must
+ * give the same verdict, the same value for every variable, and the
+ * same decision, conflict and propagation counts: the same search.
+ */
+struct SameSearch
+{
+    SatSolver sat;
+    reference::SatSolver ref;
+    u64 max_solve_conflicts = 0;
+
+    SatVar
+    new_var()
+    {
+        const SatVar v = sat.new_var();
+        EXPECT_EQ(ref.new_var(), v);
+        return v;
+    }
+
+    void
+    add_clause(const std::vector<Lit> &clause)
+    {
+        EXPECT_EQ(sat.add_clause(clause), ref.add_clause(clause));
+    }
+
+    ::testing::AssertionResult
+    solve(const std::vector<Lit> &assumptions)
+    {
+        const u64 conflicts_before = sat.num_conflicts();
+        const SatResult got = sat.solve(assumptions);
+        const SatResult want = ref.solve(assumptions);
+        max_solve_conflicts = std::max(
+            max_solve_conflicts, sat.num_conflicts() - conflicts_before);
+        if (got != want)
+            return ::testing::AssertionFailure() << "verdicts differ";
+        if (sat.num_decisions() != ref.num_decisions() ||
+            sat.num_conflicts() != ref.num_conflicts() ||
+            sat.num_propagations() != ref.num_propagations()) {
+            return ::testing::AssertionFailure()
+                << "decisions " << sat.num_decisions() << " vs "
+                << ref.num_decisions() << ", conflicts "
+                << sat.num_conflicts() << " vs " << ref.num_conflicts()
+                << ", propagations " << sat.num_propagations() << " vs "
+                << ref.num_propagations();
+        }
+        for (SatVar v = 0; v < sat.num_vars(); ++v) {
+            if (sat.model_value(v) != ref.model_value(v)) {
+                return ::testing::AssertionFailure()
+                    << "model differs at variable " << v;
+            }
+        }
+        return ::testing::AssertionSuccess();
+    }
+};
+
+TEST(Sat, SameSearchAsReference)
+{
+    // Random incremental streams: clauses of 2–5 literals and root
+    // units between solves, random assumptions, and pigeonhole blocks
+    // (7 pigeons, 6 holes) switched on by a selector assumption. A
+    // pigeonhole solve passes 256 conflicts, so it restarts. Each
+    // stream passes 4,500 conflicts: the bump increment grows by
+    // 1/0.95 per conflict, so a bumped activity passes 1e100 and all
+    // activities are rescaled.
+    Rng rng(0x5a7e);
+    for (int stream = 0; stream < 3; ++stream) {
+        SameSearch twin;
+        std::vector<SatVar> vars;
+        std::vector<SatVar> selectors;
+        for (int i = 0; i < 40; ++i)
+            vars.push_back(twin.new_var());
+        const auto random_lit = [&] {
+            return mk_lit(vars[rng.below(vars.size())], rng.flip());
+        };
+        const auto add_pigeonhole = [&] {
+            constexpr int kHoles = 6;
+            const SatVar selector = twin.new_var();
+            selectors.push_back(selector);
+            SatVar p[kHoles + 1][kHoles];
+            for (auto &row : p) {
+                for (SatVar &x : row) {
+                    x = twin.new_var();
+                    vars.push_back(x);
+                }
+            }
+            for (const auto &row : p) {
+                std::vector<Lit> some_hole = {mk_lit(selector, true)};
+                for (const SatVar x : row)
+                    some_hole.push_back(mk_lit(x, false));
+                twin.add_clause(some_hole);
+            }
+            for (int h = 0; h < kHoles; ++h) {
+                for (int i = 0; i <= kHoles; ++i) {
+                    for (int j = i + 1; j <= kHoles; ++j) {
+                        twin.add_clause(
+                            {mk_lit(p[i][h], true), mk_lit(p[j][h], true)});
+                    }
+                }
+            }
+        };
+
+        for (int step = 0; step < 400; ++step) {
+            const u64 action = rng.below(100);
+            if (action < 50) {
+                std::vector<Lit> clause(2 + rng.below(4));
+                for (Lit &l : clause)
+                    l = random_lit();
+                twin.add_clause(clause);
+            } else if (action < 52) {
+                twin.add_clause({random_lit()});
+            } else if (action < 56) {
+                vars.push_back(twin.new_var());
+            } else if (action < 59) {
+                add_pigeonhole();
+            } else {
+                std::vector<Lit> assumptions(rng.below(6));
+                for (Lit &l : assumptions)
+                    l = random_lit();
+                if (!selectors.empty() && rng.below(3) == 0) {
+                    assumptions.insert(
+                        assumptions.begin() + rng.below(assumptions.size() + 1),
+                        mk_lit(selectors[rng.below(selectors.size())],
+                               false));
+                }
+                ASSERT_TRUE(twin.solve(assumptions))
+                    << "stream " << stream << " step " << step;
+            }
+        }
+        EXPECT_GT(twin.max_solve_conflicts, 256u) << "stream " << stream;
+        EXPECT_GT(twin.sat.num_conflicts(), 4500u) << "stream " << stream;
     }
 }
 
@@ -372,6 +511,168 @@ TEST(Solver, PathConditionShapedQuery)
     EXPECT_LE(addr_val, solver.model_value(limit));
     EXPECT_EQ(addr_val & 3, 0u);
     EXPECT_GT(addr_val, 0x1000u);
+}
+
+/** Random IR over the variables x and y, each result exactly as wide
+ *  as asked. Intermediate values stay at 8 bits or less. */
+struct RandomExprs
+{
+    Rng &rng;
+    ExprRef x, y;
+
+    ExprRef
+    resize(const ExprRef &e, unsigned width)
+    {
+        if (e->width() > width) {
+            return E::extract(
+                e, static_cast<unsigned>(rng.below(e->width() - width + 1)),
+                width);
+        }
+        if (e->width() < width)
+            return rng.flip() ? E::zext(e, width) : E::sext(e, width);
+        return e;
+    }
+
+    ExprRef
+    leaf(unsigned width)
+    {
+        if (rng.below(4) == 0)
+            return E::constant(width, truncate(rng.next(), width));
+        return resize(rng.flip() ? x : y, width);
+    }
+
+    unsigned any_width() { return 1 + static_cast<unsigned>(rng.below(8)); }
+
+    ExprRef
+    gen(unsigned width, int depth)
+    {
+        if (depth == 0)
+            return leaf(width);
+        switch (rng.below(6)) {
+          case 0: {
+            const auto op = static_cast<ir::BinOpKind>(
+                rng.below(static_cast<u64>(ir::BinOpKind::AShr) + 1));
+            return E::binop(op, gen(width, depth - 1),
+                            gen(width, depth - 1));
+          }
+          case 1: {
+            const auto op = static_cast<ir::BinOpKind>(
+                static_cast<u64>(ir::BinOpKind::Eq) + rng.below(6));
+            const unsigned w = any_width();
+            return resize(E::binop(op, gen(w, depth - 1), gen(w, depth - 1)),
+                          width);
+          }
+          case 2:
+            return E::unop(rng.flip() ? ir::UnOpKind::Not : ir::UnOpKind::Neg,
+                           gen(width, depth - 1));
+          case 3:
+            return resize(gen(any_width(), depth - 1), width);
+          case 4:
+            return E::ite(gen(1, depth - 1), gen(width, depth - 1),
+                          gen(width, depth - 1));
+          default: {
+            if (width == 1)
+                return gen(1, depth - 1);
+            const unsigned hi =
+                1 + static_cast<unsigned>(rng.below(width - 1));
+            return E::concat(gen(hi, depth - 1),
+                             gen(width - hi, depth - 1));
+          }
+        }
+    }
+};
+
+/** Names of the operator kinds, casts and Ites reachable from @p e. */
+void
+collect_kinds(const ExprRef &e, std::set<std::string> &kinds)
+{
+    switch (e->kind()) {
+      case ir::ExprKind::BinOp:
+        kinds.insert(ir::binop_name(e->binop()));
+        break;
+      case ir::ExprKind::UnOp:
+        kinds.insert(ir::unop_name(e->unop()));
+        break;
+      case ir::ExprKind::Cast:
+        kinds.insert("cast" + std::to_string(static_cast<int>(e->cast())));
+        break;
+      case ir::ExprKind::Ite:
+        kinds.insert("ite");
+        break;
+      default:
+        return;
+    }
+    for (const ExprRef &child : {e->a(), e->b(), e->c()}) {
+        if (child)
+            collect_kinds(child, kinds);
+    }
+}
+
+TEST(Solver, RandomQueriesAgainstBruteForce)
+{
+    // Random conjunctions over x and y of 1–6 bits each (at most 4,096
+    // valuations), all on one Solver so learned clauses, phases and
+    // activities carry from query to query. The verdict must match
+    // brute force over ir::eval_expr, and a Sat model must satisfy
+    // every conjunct under it.
+    Rng rng(0xb1a57);
+    Solver solver;
+    std::set<std::string> kinds;
+    u64 sat = 0;
+    for (int query = 0; query < 500; ++query) {
+        const unsigned wx = 1 + static_cast<unsigned>(rng.below(6));
+        const unsigned wy = 1 + static_cast<unsigned>(rng.below(6));
+        // One variable per width, so each id keeps its width.
+        RandomExprs gen{rng, E::var(wx, "x", wx), E::var(10 + wy, "y", wy)};
+        std::vector<ExprRef> conds(1 + rng.below(4));
+        for (ExprRef &c : conds) {
+            c = gen.gen(1, 1 + static_cast<int>(rng.below(3)));
+            collect_kinds(c, kinds);
+        }
+
+        u64 vx = 0, vy = 0;
+        const std::function<u64(const ir::Expr &)> lookup =
+            [&](const ir::Expr &leaf) {
+                return leaf.var_id() == gen.x->var_id() ? vx : vy;
+            };
+        const auto holds = [&] {
+            for (const ExprRef &c : conds) {
+                if (ir::eval_expr(c, &lookup) != 1)
+                    return false;
+            }
+            return true;
+        };
+        bool brute_sat = false;
+        for (u64 a = 0; a < (u64{1} << wx) && !brute_sat; ++a) {
+            for (u64 b = 0; b < (u64{1} << wy) && !brute_sat; ++b) {
+                vx = a;
+                vy = b;
+                brute_sat = holds();
+            }
+        }
+
+        const CheckResult verdict = solver.check(conds);
+        ASSERT_EQ(verdict == CheckResult::Sat, brute_sat)
+            << "query " << query;
+        if (verdict == CheckResult::Sat) {
+            ++sat;
+            vx = solver.model_value(gen.x);
+            vy = solver.model_value(gen.y);
+            EXPECT_TRUE(holds()) << "query " << query << ": x=" << vx
+                                 << " y=" << vy;
+        }
+    }
+    // Both verdicts, and every operator, actually occurred.
+    EXPECT_GT(sat, 100u);
+    EXPECT_LT(sat, 400u);
+    for (int op = 0; op <= static_cast<int>(ir::BinOpKind::Concat); ++op)
+        EXPECT_TRUE(kinds.count(
+            ir::binop_name(static_cast<ir::BinOpKind>(op))));
+    EXPECT_TRUE(kinds.count(ir::unop_name(ir::UnOpKind::Not)));
+    EXPECT_TRUE(kinds.count(ir::unop_name(ir::UnOpKind::Neg)));
+    for (int cast = 0; cast < 3; ++cast)
+        EXPECT_TRUE(kinds.count("cast" + std::to_string(cast)));
+    EXPECT_TRUE(kinds.count("ite"));
 }
 
 // ---------------------------------------------------------------------
