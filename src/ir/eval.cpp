@@ -2,31 +2,22 @@
 
 namespace pokeemu::ir {
 
-namespace {
-
-/**
- * Evaluate a statement expression against the temp environment.
- * Iterative where possible; expressions in generated programs are
- * shallow because intermediate values are bound to temps.
- */
-u64
-eval_with_env(const ExprRef &x, const std::vector<u64> &env)
+RunResult
+run_concrete(const Program &program, ConcreteMemory &memory, u64 max_steps)
 {
-    std::function<u64(const Expr &)> lookup = [&](const Expr &leaf) -> u64 {
+    std::vector<u64> env(program.num_temps(), 0);
+    // Statement expressions read temps only; generated programs bind
+    // intermediate values to temps, so each evaluation is shallow.
+    const std::function<u64(const Expr &)> read_temp =
+        [&](const Expr &leaf) -> u64 {
         if (leaf.kind() == ExprKind::Temp)
             return env[leaf.temp_id()];
         panic("concrete evaluation hit free symbolic variable " +
               leaf.name());
     };
-    return eval_expr(x, &lookup);
-}
-
-} // namespace
-
-RunResult
-run_concrete(const Program &program, ConcreteMemory &memory, u64 max_steps)
-{
-    std::vector<u64> env(program.num_temps(), 0);
+    const auto eval = [&](const ExprRef &x) {
+        return eval_expr(x, &read_temp);
+    };
     RunResult result;
     u32 pc = 0;
 
@@ -37,25 +28,23 @@ run_concrete(const Program &program, ConcreteMemory &memory, u64 max_steps)
         ++result.steps;
         switch (s.kind) {
           case StmtKind::Assign:
-            env[s.temp] = eval_with_env(s.expr, env);
+            env[s.temp] = eval(s.expr);
             ++pc;
             break;
           case StmtKind::Load: {
-            const u32 addr =
-                static_cast<u32>(eval_with_env(s.addr, env));
+            const u32 addr = static_cast<u32>(eval(s.addr));
             env[s.temp] = memory.load(addr, s.size);
             ++pc;
             break;
           }
           case StmtKind::Store: {
-            const u32 addr =
-                static_cast<u32>(eval_with_env(s.addr, env));
-            memory.store(addr, s.size, eval_with_env(s.expr, env));
+            const u32 addr = static_cast<u32>(eval(s.addr));
+            memory.store(addr, s.size, eval(s.expr));
             ++pc;
             break;
           }
           case StmtKind::CJmp: {
-            const bool taken = eval_with_env(s.expr, env) != 0;
+            const bool taken = eval(s.expr) != 0;
             pc = program.label_pos[taken ? s.target_true
                                          : s.target_false];
             break;
@@ -64,7 +53,7 @@ run_concrete(const Program &program, ConcreteMemory &memory, u64 max_steps)
             pc = program.label_pos[s.target_true];
             break;
           case StmtKind::Assume:
-            if (eval_with_env(s.expr, env) == 0) {
+            if (eval(s.expr) == 0) {
                 result.status = RunStatus::AssumeFailed;
                 return result;
             }
@@ -72,8 +61,7 @@ run_concrete(const Program &program, ConcreteMemory &memory, u64 max_steps)
             break;
           case StmtKind::Halt:
             result.status = RunStatus::Halted;
-            result.halt_code =
-                static_cast<u32>(eval_with_env(s.expr, env));
+            result.halt_code = static_cast<u32>(eval(s.expr));
             return result;
           case StmtKind::Comment:
             ++pc;

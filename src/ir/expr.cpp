@@ -1,5 +1,7 @@
 #include "ir/expr.h"
 
+#include <bit>
+#include <cstdint>
 #include <unordered_map>
 
 namespace pokeemu::ir {
@@ -90,6 +92,164 @@ fold_binop(BinOpKind op, unsigned width, u64 a, u64 b, unsigned bwidth)
     panic("unhandled binop fold");
 }
 
+/**
+ * The memo of one expression walk: open addressing over a power-of-two
+ * slot array, keyed by node address. A slot is live only while its
+ * stamp equals the table's, so bumping the stamp empties the table in
+ * O(1) and a walk allocates only when the table has to grow.
+ */
+class WalkMemo
+{
+  public:
+    /** Forget every entry. */
+    void clear()
+    {
+        used_ = 0;
+        if (++stamp_ == 0) {
+            // Wrapped: slots stamped 2^32 walks ago would read as live.
+            for (Slot &s : slots_)
+                s.stamp = 0;
+            stamp_ = 1;
+        }
+    }
+
+    /** The value stored under @p key, or null. */
+    u64 *find(u64 key)
+    {
+        if (slots_.empty())
+            return nullptr;
+        for (std::size_t i = home(key);; i = next(i)) {
+            Slot &s = slots_[i];
+            if (s.stamp != stamp_)
+                return nullptr;
+            if (s.key == key)
+                return &s.value;
+        }
+    }
+
+    /** Store @p value under @p key, which must be absent. */
+    void insert(u64 key, u64 value)
+    {
+        if (2 * (used_ + 1) > slots_.size())
+            grow();
+        place(key, value);
+        ++used_;
+    }
+
+    /** Insert @p key if absent; true if it was. */
+    bool mark(u64 key)
+    {
+        if (find(key))
+            return false;
+        insert(key, 0);
+        return true;
+    }
+
+  private:
+    struct Slot
+    {
+        u64 key = 0;
+        u64 value = 0;
+        u32 stamp = 0;
+    };
+
+    std::size_t home(u64 key) const
+    {
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >>
+                                        shift_);
+    }
+
+    std::size_t next(std::size_t i) const
+    {
+        return (i + 1) & (slots_.size() - 1);
+    }
+
+    void place(u64 key, u64 value)
+    {
+        std::size_t i = home(key);
+        while (slots_[i].stamp == stamp_)
+            i = next(i);
+        slots_[i] = Slot{key, value, stamp_};
+    }
+
+    void grow()
+    {
+        std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+        old.swap(slots_);
+        shift_ = 64 - std::countr_zero(slots_.size());
+        for (const Slot &s : old) {
+            if (s.stamp == stamp_)
+                place(s.key, s.value);
+        }
+    }
+
+    std::vector<Slot> slots_;
+    unsigned shift_ = 64;
+    u32 stamp_ = 0;
+    std::size_t used_ = 0;
+};
+
+/** Memo key of a node: its address. */
+u64
+node_key(const Expr *e)
+{
+    return reinterpret_cast<std::uintptr_t>(e);
+}
+
+/** One walk's scratch space. */
+struct WalkFrame
+{
+    WalkMemo memo;
+    std::vector<ExprRef> results;       ///< substitute: memo values index it
+    std::vector<const ExprRef *> stack; ///< collect_vars: the DFS stack
+};
+
+/**
+ * A frame for one walk, taken from this thread's stack of frames and
+ * given back on return. A leaf reader or substitution map that walks
+ * expressions itself takes the next frame, so its caller's memo stays
+ * intact. Frames persist, so a warmed-up walk's scratch allocates
+ * nothing.
+ */
+class FrameLease
+{
+  public:
+    FrameLease() : frames_(this_thread())
+    {
+        if (frames_.depth == frames_.stack.size())
+            frames_.stack.push_back(std::make_unique<WalkFrame>());
+        frame_ = frames_.stack[frames_.depth++].get();
+        frame_->memo.clear();
+    }
+
+    ~FrameLease()
+    {
+        frame_->results.clear();
+        --frames_.depth;
+    }
+
+    FrameLease(const FrameLease &) = delete;
+    FrameLease &operator=(const FrameLease &) = delete;
+
+    WalkFrame &frame() const { return *frame_; }
+
+  private:
+    struct Frames
+    {
+        std::vector<std::unique_ptr<WalkFrame>> stack;
+        std::size_t depth = 0; ///< frames in use
+    };
+
+    static Frames &this_thread()
+    {
+        thread_local Frames frames;
+        return frames;
+    }
+
+    Frames &frames_;
+    WalkFrame *frame_;
+};
+
 } // namespace
 
 bool
@@ -178,62 +338,37 @@ Expr::equal(const ExprRef &x, const ExprRef &y)
     return false;
 }
 
-std::size_t
-Expr::size(const ExprRef &x)
-{
-    std::unordered_map<const Expr *, bool> seen;
-    std::size_t count = 0;
-    std::vector<const Expr *> stack{x.get()};
-    while (!stack.empty()) {
-        const Expr *e = stack.back();
-        stack.pop_back();
-        if (!e || seen.count(e))
-            continue;
-        seen[e] = true;
-        ++count;
-        if (e->a_) stack.push_back(e->a_.get());
-        if (e->b_) stack.push_back(e->b_.get());
-        if (e->c_) stack.push_back(e->c_.get());
-    }
-    return count;
-}
-
 void
 Expr::collect_vars(const ExprRef &x, std::vector<ExprRef> &out)
 {
-    std::unordered_map<const Expr *, bool> seen;
-    std::unordered_map<u32, bool> var_seen;
+    FrameLease lease;
+    WalkMemo &seen = lease.frame().memo;
+    // Variable ids share the table with node addresses: an id key has
+    // its low bit set, which no (8-aligned) node address has.
+    const auto id_key = [](u32 id) { return (u64{id} << 1) | 1; };
     for (const auto &v : out)
-        var_seen[v->var_id()] = true;
-    std::vector<ExprRef> stack{x};
+        seen.mark(id_key(v->var_id()));
+    std::vector<const ExprRef *> &stack = lease.frame().stack;
+    stack.assign(1, &x);
     while (!stack.empty()) {
-        ExprRef e = stack.back();
+        const ExprRef &e = *stack.back();
         stack.pop_back();
-        if (!e || seen.count(e.get()))
+        if (!e || !seen.mark(node_key(e.get())))
             continue;
-        seen[e.get()] = true;
         if (e->is_var()) {
-            if (!var_seen.count(e->var_id())) {
-                var_seen[e->var_id()] = true;
+            if (seen.mark(id_key(e->var_id())))
                 out.push_back(e);
-            }
             continue;
         }
-        if (e->a_) stack.push_back(e->a_);
-        if (e->b_) stack.push_back(e->b_);
-        if (e->c_) stack.push_back(e->c_);
+        if (e->a_) stack.push_back(&e->a_);
+        if (e->b_) stack.push_back(&e->b_);
+        if (e->c_) stack.push_back(&e->c_);
     }
 }
 
 namespace E {
 
 namespace {
-
-std::shared_ptr<Expr>
-make_node()
-{
-    return Expr::make();
-}
 
 /**
  * Hash-consing: structurally identical expressions share one node, so
@@ -270,19 +405,24 @@ shallow_equal(const Expr &x, const Expr &y)
     return false;
 }
 
+/**
+ * The interned node equal to @p probe, a filled-in node on the caller's
+ * stack. Nearly every call is a hit, so only a miss allocates: the
+ * probe moves into the table.
+ */
 ExprRef
-intern(std::shared_ptr<Expr> e)
+intern(Expr &&probe)
 {
     // Thread-local: the library is used single-threaded per pipeline;
     // thread-locality keeps this safe if callers parallelize.
     thread_local std::unordered_map<u64, std::vector<ExprRef>> table;
-    auto &bucket = table[e->hash()];
+    auto &bucket = table[probe.hash()];
     for (const ExprRef &existing : bucket) {
-        if (shallow_equal(*existing, *e))
+        if (shallow_equal(*existing, probe))
             return existing;
     }
-    bucket.push_back(e);
-    return e;
+    bucket.push_back(std::make_shared<const Expr>(std::move(probe)));
+    return bucket.back();
 }
 
 } // namespace
@@ -291,11 +431,11 @@ ExprRef
 constant(unsigned width, u64 value)
 {
     assert(width >= 1 && width <= 64);
-    auto e = make_node();
-    e->kind_ = ExprKind::Const;
-    e->width_ = width;
-    e->value_ = truncate(value, width);
-    e->hash_ = hash_mix(hash_mix(1, width), e->value_);
+    Expr e;
+    e.kind_ = ExprKind::Const;
+    e.width_ = width;
+    e.value_ = truncate(value, width);
+    e.hash_ = hash_mix(hash_mix(1, width), e.value_);
     return intern(std::move(e));
 }
 
@@ -309,11 +449,11 @@ ExprRef
 temp(u32 id, unsigned width)
 {
     assert(width >= 1 && width <= 64);
-    auto e = make_node();
-    e->kind_ = ExprKind::Temp;
-    e->width_ = width;
-    e->var_id_ = id;
-    e->hash_ = hash_mix(hash_mix(9, width), id);
+    Expr e;
+    e.kind_ = ExprKind::Temp;
+    e.width_ = width;
+    e.var_id_ = id;
+    e.hash_ = hash_mix(hash_mix(9, width), id);
     return intern(std::move(e));
 }
 
@@ -321,12 +461,12 @@ ExprRef
 var(u32 id, const std::string &name, unsigned width)
 {
     assert(width >= 1 && width <= 64);
-    auto e = make_node();
-    e->kind_ = ExprKind::Var;
-    e->width_ = width;
-    e->var_id_ = id;
-    e->name_ = name;
-    e->hash_ = hash_mix(hash_mix(2, width), id);
+    Expr e;
+    e.kind_ = ExprKind::Var;
+    e.width_ = width;
+    e.var_id_ = id;
+    e.name_ = name;
+    e.hash_ = hash_mix(hash_mix(2, width), id);
     return intern(std::move(e));
 }
 
@@ -438,14 +578,14 @@ binop(BinOpKind op, const ExprRef &a, const ExprRef &b)
                        lhs->width() + rhs->width());
     }
 
-    auto e = make_node();
-    e->kind_ = ExprKind::BinOp;
-    e->binop_ = op;
-    e->width_ = w;
-    e->a_ = lhs;
-    e->b_ = rhs;
-    e->hash_ = hash_mix(hash_mix(hash_mix(hash_mix(3, (u64)op), w),
+    Expr e;
+    e.kind_ = ExprKind::BinOp;
+    e.binop_ = op;
+    e.width_ = w;
+    e.hash_ = hash_mix(hash_mix(hash_mix(hash_mix(3, (u64)op), w),
                                  lhs->hash()), rhs->hash());
+    e.a_ = std::move(lhs);
+    e.b_ = std::move(rhs);
     return intern(std::move(e));
 }
 
@@ -460,12 +600,12 @@ unop(UnOpKind op, const ExprRef &a)
     // Involution: not(not(x)) == x, neg(neg(x)) == x.
     if (a->kind() == ExprKind::UnOp && a->unop() == op)
         return a->a();
-    auto e = make_node();
-    e->kind_ = ExprKind::UnOp;
-    e->unop_ = op;
-    e->width_ = a->width();
-    e->a_ = a;
-    e->hash_ = hash_mix(hash_mix(hash_mix(4, (u64)op), a->width()),
+    Expr e;
+    e.kind_ = ExprKind::UnOp;
+    e.unop_ = op;
+    e.width_ = a->width();
+    e.a_ = a;
+    e.hash_ = hash_mix(hash_mix(hash_mix(4, (u64)op), a->width()),
                         a->hash());
     return intern(std::move(e));
 }
@@ -478,12 +618,12 @@ zext(const ExprRef &a, unsigned width)
         return a;
     if (a->is_const())
         return constant(width, a->value());
-    auto e = make_node();
-    e->kind_ = ExprKind::Cast;
-    e->cast_ = CastKind::ZExt;
-    e->width_ = width;
-    e->a_ = a;
-    e->hash_ = hash_mix(hash_mix(5, width), a->hash());
+    Expr e;
+    e.kind_ = ExprKind::Cast;
+    e.cast_ = CastKind::ZExt;
+    e.width_ = width;
+    e.a_ = a;
+    e.hash_ = hash_mix(hash_mix(5, width), a->hash());
     return intern(std::move(e));
 }
 
@@ -498,12 +638,12 @@ sext(const ExprRef &a, unsigned width)
                         static_cast<u64>(sign_extend(a->value(),
                                                      a->width())));
     }
-    auto e = make_node();
-    e->kind_ = ExprKind::Cast;
-    e->cast_ = CastKind::SExt;
-    e->width_ = width;
-    e->a_ = a;
-    e->hash_ = hash_mix(hash_mix(6, width), a->hash());
+    Expr e;
+    e.kind_ = ExprKind::Cast;
+    e.cast_ = CastKind::SExt;
+    e.width_ = width;
+    e.a_ = a;
+    e.hash_ = hash_mix(hash_mix(6, width), a->hash());
     return intern(std::move(e));
 }
 
@@ -552,13 +692,13 @@ extract(const ExprRef &a, unsigned lo, unsigned width)
         return ite(a->a(), extract(a->b(), lo, width),
                    extract(a->c(), lo, width));
     }
-    auto e = make_node();
-    e->kind_ = ExprKind::Cast;
-    e->cast_ = CastKind::Extract;
-    e->width_ = width;
-    e->lo_ = lo;
-    e->a_ = a;
-    e->hash_ = hash_mix(hash_mix(hash_mix(7, width), lo), a->hash());
+    Expr e;
+    e.kind_ = ExprKind::Cast;
+    e.cast_ = CastKind::Extract;
+    e.width_ = width;
+    e.lo_ = lo;
+    e.a_ = a;
+    e.hash_ = hash_mix(hash_mix(hash_mix(7, width), lo), a->hash());
     return intern(std::move(e));
 }
 
@@ -578,13 +718,13 @@ ite(const ExprRef &cond, const ExprRef &t, const ExprRef &f)
         if (t->value() == 0 && f->value() == 1)
             return unop(UnOpKind::Not, cond);
     }
-    auto e = make_node();
-    e->kind_ = ExprKind::Ite;
-    e->width_ = t->width();
-    e->a_ = cond;
-    e->b_ = t;
-    e->c_ = f;
-    e->hash_ = hash_mix(hash_mix(hash_mix(hash_mix(8, t->width()),
+    Expr e;
+    e.kind_ = ExprKind::Ite;
+    e.width_ = t->width();
+    e.a_ = cond;
+    e.b_ = t;
+    e.c_ = f;
+    e.hash_ = hash_mix(hash_mix(hash_mix(hash_mix(8, t->width()),
                                           cond->hash()), t->hash()),
                         f->hash());
     return intern(std::move(e));
@@ -648,114 +788,130 @@ lnot(const ExprRef &a)
 
 } // namespace E
 
-u64
-eval_expr(const ExprRef &x, const std::function<u64(const Expr &)> *lookup)
-{
-    std::unordered_map<const Expr *, u64> memo;
+namespace {
 
-    std::function<u64(const ExprRef &)> go =
-        [&](const ExprRef &e) -> u64 {
-        auto it = memo.find(e.get());
-        if (it != memo.end())
-            return it->second;
-        u64 r = 0;
-        switch (e->kind()) {
-          case ExprKind::Const:
-            r = e->value();
+using Lookup = std::function<u64(const Expr &)>;
+using Map = std::function<ExprRef(const Expr &)>;
+
+u64
+eval_node(const Expr &e, WalkMemo &memo, const Lookup *lookup)
+{
+    if (e.is_const())
+        return e.value();
+    const u64 key = node_key(&e);
+    if (const u64 *hit = memo.find(key))
+        return *hit;
+    const auto go = [&](const ExprRef &x) {
+        return eval_node(*x, memo, lookup);
+    };
+    u64 r = 0;
+    switch (e.kind()) {
+      case ExprKind::Const:
+        break;
+      case ExprKind::Var:
+      case ExprKind::Temp:
+        if (!lookup)
+            panic("eval_expr: free variable " + e.name());
+        r = truncate((*lookup)(e), e.width());
+        break;
+      case ExprKind::UnOp: {
+        const u64 a = go(e.a());
+        r = e.unop() == UnOpKind::Not ? ~a : (~a + 1);
+        r = truncate(r, e.width());
+        break;
+      }
+      case ExprKind::BinOp:
+        r = fold_binop(e.binop(), e.a()->width(), go(e.a()), go(e.b()),
+                       e.b()->width());
+        break;
+      case ExprKind::Cast: {
+        const u64 a = go(e.a());
+        switch (e.cast()) {
+          case CastKind::ZExt:
+            r = truncate(a, e.a()->width());
             break;
-          case ExprKind::Var:
-          case ExprKind::Temp:
-            if (!lookup)
-                panic("eval_expr: free variable " + e->name());
-            r = truncate((*lookup)(*e), e->width());
+          case CastKind::SExt:
+            r = truncate(static_cast<u64>(sign_extend(a, e.a()->width())),
+                         e.width());
             break;
-          case ExprKind::UnOp: {
-            const u64 a = go(e->a());
-            r = e->unop() == UnOpKind::Not ? ~a : (~a + 1);
-            r = truncate(r, e->width());
-            break;
-          }
-          case ExprKind::BinOp:
-            r = fold_binop(e->binop(), e->a()->width(), go(e->a()),
-                           go(e->b()), e->b()->width());
-            break;
-          case ExprKind::Cast: {
-            const u64 a = go(e->a());
-            switch (e->cast()) {
-              case CastKind::ZExt:
-                r = truncate(a, e->a()->width());
-                break;
-              case CastKind::SExt:
-                r = truncate(static_cast<u64>(
-                                 sign_extend(a, e->a()->width())),
-                             e->width());
-                break;
-              case CastKind::Extract:
-                r = truncate(a >> e->extract_lo(), e->width());
-                break;
-            }
-            break;
-          }
-          case ExprKind::Ite:
-            r = go(e->a()) ? go(e->b()) : go(e->c());
+          case CastKind::Extract:
+            r = truncate(a >> e.extract_lo(), e.width());
             break;
         }
-        memo[e.get()] = r;
-        return r;
-    };
-    return go(x);
+        break;
+      }
+      case ExprKind::Ite:
+        r = go(e.a()) ? go(e.b()) : go(e.c());
+        break;
+    }
+    memo.insert(key, r);
+    return r;
 }
 
 ExprRef
-substitute(const ExprRef &x,
-           const std::function<ExprRef(const Expr &)> &map)
+substitute_node(const ExprRef &e, WalkFrame &f, const Map &map)
 {
-    std::unordered_map<const Expr *, ExprRef> memo;
-
-    std::function<ExprRef(const ExprRef &)> go =
-        [&](const ExprRef &e) -> ExprRef {
-        auto it = memo.find(e.get());
-        if (it != memo.end())
-            return it->second;
-        ExprRef r;
-        switch (e->kind()) {
-          case ExprKind::Const:
-            r = e;
+    if (e->is_const())
+        return e;
+    const u64 key = node_key(e.get());
+    if (const u64 *hit = f.memo.find(key))
+        return f.results[*hit];
+    const auto go = [&](const ExprRef &x) {
+        return substitute_node(x, f, map);
+    };
+    ExprRef r;
+    switch (e->kind()) {
+      case ExprKind::Const:
+        break;
+      case ExprKind::Var:
+      case ExprKind::Temp: {
+        ExprRef repl = map(*e);
+        r = repl ? repl : e;
+        assert(r->width() == e->width());
+        break;
+      }
+      case ExprKind::UnOp:
+        r = E::unop(e->unop(), go(e->a()));
+        break;
+      case ExprKind::BinOp:
+        r = E::binop(e->binop(), go(e->a()), go(e->b()));
+        break;
+      case ExprKind::Cast:
+        switch (e->cast()) {
+          case CastKind::ZExt:
+            r = E::zext(go(e->a()), e->width());
             break;
-          case ExprKind::Var:
-          case ExprKind::Temp: {
-            ExprRef repl = map(*e);
-            r = repl ? repl : e;
-            assert(r->width() == e->width());
+          case CastKind::SExt:
+            r = E::sext(go(e->a()), e->width());
             break;
-          }
-          case ExprKind::UnOp:
-            r = E::unop(e->unop(), go(e->a()));
-            break;
-          case ExprKind::BinOp:
-            r = E::binop(e->binop(), go(e->a()), go(e->b()));
-            break;
-          case ExprKind::Cast:
-            switch (e->cast()) {
-              case CastKind::ZExt:
-                r = E::zext(go(e->a()), e->width());
-                break;
-              case CastKind::SExt:
-                r = E::sext(go(e->a()), e->width());
-                break;
-              case CastKind::Extract:
-                r = E::extract(go(e->a()), e->extract_lo(), e->width());
-                break;
-            }
-            break;
-          case ExprKind::Ite:
-            r = E::ite(go(e->a()), go(e->b()), go(e->c()));
+          case CastKind::Extract:
+            r = E::extract(go(e->a()), e->extract_lo(), e->width());
             break;
         }
-        memo[e.get()] = r;
-        return r;
-    };
-    return go(x);
+        break;
+      case ExprKind::Ite:
+        r = E::ite(go(e->a()), go(e->b()), go(e->c()));
+        break;
+    }
+    f.memo.insert(key, f.results.size());
+    f.results.push_back(r);
+    return r;
+}
+
+} // namespace
+
+u64
+eval_expr(const ExprRef &x, const Lookup *lookup)
+{
+    FrameLease lease;
+    return eval_node(*x, lease.frame().memo, lookup);
+}
+
+ExprRef
+substitute(const ExprRef &x, const Map &map)
+{
+    FrameLease lease;
+    return substitute_node(x, lease.frame(), map);
 }
 
 } // namespace pokeemu::ir

@@ -109,20 +109,14 @@ class Expr
     /** Deep structural equality (hash-prechecked). */
     static bool equal(const ExprRef &x, const ExprRef &y);
 
-    /** Number of nodes in the tree (shared nodes counted once). */
-    static std::size_t size(const ExprRef &x);
-
-    /** Collect the distinct variables appearing in @p x into @p out. */
-    static void collect_vars(const ExprRef &x, std::vector<ExprRef> &out);
-
     /**
-     * Allocate an empty node; only the E:: factories (friends) can
-     * populate it, so this does not open a construction side door.
+     * Append to @p out the variables of @p x whose ids are not in it
+     * yet. The order is a contract: a depth-first walk that visits a
+     * node's operands last to first (c, b, a), keeping each variable
+     * where it is first reached. Model zero-fill and minimization
+     * iterate it.
      */
-    static std::shared_ptr<Expr> make()
-    {
-        return std::shared_ptr<Expr>(new Expr());
-    }
+    static void collect_vars(const ExprRef &x, std::vector<ExprRef> &out);
 
   private:
     Expr() = default;
@@ -213,6 +207,11 @@ ExprRef lnot(const ExprRef &a);
 /**
  * Evaluate a Var-free-or-assigned expression to a concrete value.
  *
+ * The walk is memoized over shared nodes, so @p lookup runs once per
+ * distinct leaf, and only the taken arm of an Ite is evaluated. The
+ * memo is a per-thread table reused across calls; a lookup that itself
+ * evaluates or substitutes gets a table of its own.
+ *
  * @param x expression to evaluate.
  * @param lookup maps a Var or Temp node to its concrete value; invoked
  *        for every such leaf. May be null only if the expression is
@@ -226,7 +225,8 @@ u64 eval_expr(const ExprRef &x,
  * Substitute leaves in @p x: wherever a Var or Temp leaf appears,
  * replace it with map(leaf) if non-null. Used by evaluators to resolve
  * temps and by the summarizer when instantiating pre-computed summaries
- * (paper §3.3.2).
+ * (paper §3.3.2). Memoized like eval_expr: @p map runs once per
+ * distinct leaf, and may itself walk expressions.
  */
 ExprRef substitute(const ExprRef &x,
                    const std::function<ExprRef(const Expr &)> &map);

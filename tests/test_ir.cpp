@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "ir/builder.h"
 #include "ir/eval.h"
 #include "ir/printer.h"
+#include "reference_walkers.h"
 #include "support/rng.h"
 
 namespace pokeemu::ir {
@@ -182,6 +184,301 @@ TEST(Expr, SubstituteReplacesVars)
     });
     ASSERT_TRUE(replaced->is_const());
     EXPECT_EQ(replaced->value(), 42u);
+}
+
+// --- Walkers against the verbatim per-call-map references ---
+
+/** One leaf-reader or substitution-map call: leaf kind and id. */
+using LeafCall = std::pair<ExprKind, u32>;
+
+/**
+ * A random hash-consed DAG over Var and Temp leaves of widths 1, 8, 16
+ * and 32. Operands are drawn mostly from the few latest nodes of a
+ * width, so the DAG is deep, and otherwise from all of them, so nodes
+ * are shared many times over.
+ */
+struct RandomDag
+{
+    std::map<unsigned, std::vector<ExprRef>> nodes; ///< by width
+    std::map<unsigned, ExprRef> var_of;             ///< one Var per width
+    std::vector<ExprRef> roots;
+};
+
+RandomDag
+random_dag(Rng &rng, unsigned steps)
+{
+    static const unsigned kWidths[] = {1, 8, 16, 32};
+    RandomDag d;
+    u32 next_var = 1, next_temp = 0;
+    for (unsigned w : kWidths) {
+        for (int i = 0; i < 3; ++i) {
+            const u32 id = next_var++;
+            auto v = E::var(id, "v" + std::to_string(id), w);
+            d.var_of.emplace(w, v);
+            d.nodes[w].push_back(v);
+            d.nodes[w].push_back(E::temp(next_temp++, w));
+        }
+        d.nodes[w].push_back(E::constant(w, rng.next()));
+    }
+    const auto pick = [&](unsigned w) -> const ExprRef & {
+        const std::vector<ExprRef> &pool = d.nodes[w];
+        const u64 span = rng.below(4) == 0
+            ? pool.size()
+            : std::min<u64>(pool.size(), 6);
+        return pool[pool.size() - 1 - rng.below(span)];
+    };
+    static const BinOpKind kOps[] = {
+        BinOpKind::Add, BinOpKind::Sub, BinOpKind::Mul, BinOpKind::UDiv,
+        BinOpKind::URem, BinOpKind::SDiv, BinOpKind::SRem,
+        BinOpKind::And, BinOpKind::Or, BinOpKind::Xor, BinOpKind::Shl,
+        BinOpKind::LShr, BinOpKind::AShr,
+    };
+    static const BinOpKind kCmps[] = {
+        BinOpKind::Eq, BinOpKind::Ne, BinOpKind::ULt, BinOpKind::ULe,
+        BinOpKind::SLt, BinOpKind::SLe,
+    };
+    for (unsigned i = 0; i < steps; ++i) {
+        const unsigned w = kWidths[rng.below(4)];
+        ExprRef e;
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+            e = E::binop(kOps[rng.below(std::size(kOps))], pick(w),
+                         pick(w));
+            break;
+          case 2:
+            e = E::binop(kCmps[rng.below(std::size(kCmps))], pick(w),
+                         pick(w));
+            break;
+          case 3:
+            e = E::unop(rng.flip() ? UnOpKind::Not : UnOpKind::Neg,
+                        pick(w));
+            break;
+          case 4:
+            e = E::ite(pick(1), pick(w), pick(w));
+            break;
+          case 5: // widen
+            if (w == 32)
+                e = rng.flip() ? E::zext(pick(16), 32)
+                               : E::sext(pick(8), 32);
+            else if (w == 16)
+                e = E::concat(pick(8), pick(8));
+            else
+                e = E::zext(pick(w), 2 * w > 8 ? 2 * w : 8);
+            break;
+          default: // narrow
+            if (w == 1)
+                e = E::extract(pick(8), static_cast<unsigned>(
+                                            rng.below(8)), 1);
+            else if (w == 8)
+                e = E::extract(pick(32), static_cast<unsigned>(
+                                             rng.below(25)), 8);
+            else
+                e = E::extract(pick(32), static_cast<unsigned>(
+                                             rng.below(17)), 16);
+            break;
+        }
+        d.nodes[e->width()].push_back(e);
+    }
+    for (unsigned w : kWidths) {
+        const std::vector<ExprRef> &pool = d.nodes[w];
+        for (std::size_t i = pool.size() > 8 ? pool.size() - 8 : 0;
+             i < pool.size(); ++i) {
+            d.roots.push_back(pool[i]);
+        }
+    }
+    return d;
+}
+
+TEST(Walkers, EvalMatchesReferenceOnRandomSharedDags)
+{
+    Rng rng(2024);
+    for (int dag = 0; dag < 40; ++dag) {
+        RandomDag d = random_dag(rng, 300);
+        std::map<LeafCall, u64> values;
+        std::vector<LeafCall> calls;
+        const std::function<u64(const Expr &)> lookup =
+            [&](const Expr &leaf) -> u64 {
+            const LeafCall key{leaf.kind(), leaf.var_id()};
+            calls.push_back(key);
+            auto [it, fresh] = values.emplace(key, 0);
+            if (fresh)
+                it->second = rng.next();
+            return it->second;
+        };
+        for (const ExprRef &root : d.roots) {
+            calls.clear();
+            const u64 ref = reference::eval_expr(root, &lookup);
+            const std::vector<LeafCall> ref_calls = calls;
+            calls.clear();
+            ASSERT_EQ(eval_expr(root, &lookup), ref)
+                << "dag " << dag << ": " << to_string(root);
+            ASSERT_EQ(calls, ref_calls) << "dag " << dag;
+        }
+    }
+}
+
+TEST(Walkers, SubstituteMatchesReferenceOnRandomSharedDags)
+{
+    Rng rng(77);
+    for (int dag = 0; dag < 40; ++dag) {
+        RandomDag d = random_dag(rng, 300);
+        // Temps become expressions over Vars; every third Var becomes a
+        // constant, which makes the factories fold on the way up.
+        std::vector<LeafCall> calls;
+        const std::function<ExprRef(const Expr &)> map =
+            [&](const Expr &leaf) -> ExprRef {
+            calls.emplace_back(leaf.kind(), leaf.var_id());
+            const unsigned w = leaf.width();
+            if (leaf.kind() == ExprKind::Temp) {
+                return E::bxor(d.var_of.at(w),
+                               E::constant(w, leaf.temp_id() * 0x9b));
+            }
+            if (leaf.var_id() % 3 == 0)
+                return E::constant(w, leaf.var_id() * 0x35);
+            return nullptr;
+        };
+        for (const ExprRef &root : d.roots) {
+            calls.clear();
+            const ExprRef ref = reference::substitute(root, map);
+            const std::vector<LeafCall> ref_calls = calls;
+            calls.clear();
+            ASSERT_EQ(substitute(root, map).get(), ref.get())
+                << "dag " << dag << ": " << to_string(root);
+            ASSERT_EQ(calls, ref_calls) << "dag " << dag;
+        }
+    }
+}
+
+TEST(Walkers, CollectVarsKeepsReferenceOrderOnRandomSharedDags)
+{
+    Rng rng(5);
+    for (int dag = 0; dag < 40; ++dag) {
+        RandomDag d = random_dag(rng, 300);
+        std::vector<ExprRef> all, ref_all;
+        for (const ExprRef &root : d.roots) {
+            std::vector<ExprRef> vars, ref_vars;
+            Expr::collect_vars(root, vars);
+            reference::collect_vars(root, ref_vars);
+            ASSERT_EQ(vars, ref_vars) << "dag " << dag;
+            // Into a non-empty list: variables already present are
+            // skipped by id.
+            Expr::collect_vars(root, all);
+            reference::collect_vars(root, ref_all);
+            ASSERT_EQ(all, ref_all) << "dag " << dag;
+        }
+    }
+}
+
+TEST(Walkers, DoublingChainReadsEachLeafOnce)
+{
+    // x_{i+1} = x_i + x_i: 2^64 leaf occurrences as a tree, 66 distinct
+    // nodes as a DAG. Only a memoized walk reads each leaf once.
+    const ExprRef v = E::var(1, "v", 32);
+    const ExprRef t = E::temp(0, 32);
+    ExprRef x = E::add(v, t);
+    std::vector<ExprRef> chain{x};
+    for (int i = 0; i < 64; ++i) {
+        x = E::add(x, x);
+        chain.push_back(x);
+    }
+    // Throwing on a second read stops an unmemoized walk long before
+    // its 2^64 reads.
+    std::map<LeafCall, int> reads;
+    const auto read_once = [&](const Expr &leaf) {
+        if (++reads[{leaf.kind(), leaf.var_id()}] > 1)
+            throw std::runtime_error("leaf read twice");
+    };
+    const std::function<u64(const Expr &)> lookup =
+        [&](const Expr &leaf) -> u64 {
+        read_once(leaf);
+        return leaf.kind() == ExprKind::Var ? 5 : 2;
+    };
+    EXPECT_EQ(eval_expr(x, &lookup), 0u); // 7 << 64, truncated
+    EXPECT_EQ(reads, (std::map<LeafCall, int>{{{ExprKind::Var, 1}, 1},
+                                              {{ExprKind::Temp, 0}, 1}}));
+    reads.clear();
+    EXPECT_EQ(eval_expr(chain[5], &lookup), 7u << 5);
+    EXPECT_EQ(reads.size(), 2u);
+
+    reads.clear();
+    const ExprRef s = substitute(x, [&](const Expr &leaf) -> ExprRef {
+        read_once(leaf);
+        return leaf.kind() == ExprKind::Temp ? v : nullptr;
+    });
+    EXPECT_EQ(reads.size(), 2u);
+    ExprRef expected = E::add(v, v);
+    for (int i = 0; i < 64; ++i)
+        expected = E::add(expected, expected);
+    EXPECT_EQ(s.get(), expected.get());
+
+    std::vector<ExprRef> vars;
+    Expr::collect_vars(x, vars);
+    EXPECT_EQ(vars, std::vector<ExprRef>{v});
+}
+
+TEST(Walkers, ReentrantLeafReadersGetTheirOwnMemo)
+{
+    // The inner walks share nodes with the outer one, so an inner walk
+    // that reused (or cleared) the outer memo would read or leave
+    // values from the wrong level.
+    const ExprRef a = E::var(1, "a", 32);
+    const ExprRef b = E::var(2, "b", 32);
+    const ExprRef shared =
+        E::mul(E::add(a, b), E::bxor(a, E::constant(32, 0x55)));
+    const ExprRef outer =
+        E::add(E::add(E::temp(0, 32), shared),
+               E::add(shared, E::temp(1, 32)));
+
+    const std::function<u64(const Expr &)> inner =
+        [](const Expr &leaf) -> u64 { return leaf.var_id() == 1 ? 3 : 4; };
+    const auto make_reader = [&](auto eval) {
+        return std::function<u64(const Expr &)>(
+            [=, &inner](const Expr &leaf) -> u64 {
+                if (leaf.kind() == ExprKind::Var)
+                    return leaf.var_id() == 1 ? 100 : 200;
+                if (leaf.temp_id() == 0)
+                    return eval(shared, &inner);
+                return eval(E::sub(shared, a), &inner);
+            });
+    };
+    const auto outer_reader = make_reader(
+        [](const ExprRef &x, const std::function<u64(const Expr &)> *l) {
+            return eval_expr(x, l);
+        });
+    const auto ref_reader = make_reader(
+        [](const ExprRef &x, const std::function<u64(const Expr &)> *l) {
+            return reference::eval_expr(x, l);
+        });
+    const u64 shared_outer = (100 + 200) * (100 ^ 0x55);
+    const u64 shared_inner = (3 + 4) * (3 ^ 0x55);
+    const u64 expected =
+        truncate(2 * shared_outer + shared_inner + (shared_inner - 3), 32);
+    EXPECT_EQ(reference::eval_expr(outer, &ref_reader), expected);
+    EXPECT_EQ(eval_expr(outer, &outer_reader), expected);
+
+    // The same for a substitution map that substitutes.
+    const auto inner_map = [&](const Expr &leaf) -> ExprRef {
+        return leaf.var_id() == 1 ? E::constant(32, 3) : nullptr;
+    };
+    const auto outer_map = [&](auto subst) {
+        return [=](const Expr &leaf) -> ExprRef {
+            if (leaf.kind() == ExprKind::Var)
+                return nullptr;
+            return subst(leaf.temp_id() == 0 ? shared : E::sub(shared, b),
+                         inner_map);
+        };
+    };
+    const ExprRef want = reference::substitute(
+        outer, outer_map([](const ExprRef &x, const auto &m) {
+            return reference::substitute(x, m);
+        }));
+    const ExprRef got = substitute(
+        outer, outer_map([](const ExprRef &x, const auto &m) {
+            return substitute(x, m);
+        }));
+    EXPECT_EQ(got.get(), want.get());
+    EXPECT_FALSE(want->is_const());
 }
 
 TEST(Printer, RendersNestedExpr)
