@@ -142,9 +142,7 @@ main(int argc, char **argv)
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
 
     // Per-unit analysis cost, measured in isolation (pure fixpoint,
     // no exploration).

@@ -136,9 +136,7 @@ main(int argc, char **argv)
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
 
     // Phase 1: optimize the workload and sum the statement stats.
     std::vector<Unit> units;

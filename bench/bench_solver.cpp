@@ -104,9 +104,7 @@ main(int argc, char **argv)
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
     std::vector<u8> bytes = {0xcf}; // iret: query-heavy.
     bytes.resize(arch::kMaxInsnLength, 0);
     arch::DecodedInsn insn;

@@ -82,9 +82,7 @@ main()
                 static_cast<unsigned long long>(summary.paths),
                 summary.complete ? "yes" : "no");
 
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
 
     const Side with = run_side(true, summary, spec);
     const Side without = run_side(false, summary, spec);

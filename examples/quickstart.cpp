@@ -42,9 +42,7 @@ main()
                 "(paper: Bochs' cache update had 23)\n",
                 static_cast<unsigned long long>(summary.paths));
 
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
     std::printf("\n%s\n", spec.to_string().c_str());
 
     explore::StateExploreOptions options;

@@ -46,9 +46,7 @@ main()
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
 
     const std::vector<
         std::pair<const char *, std::vector<arch::DecodedInsn>>>

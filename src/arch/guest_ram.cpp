@@ -39,8 +39,7 @@ GuestRam::GuestRam()
 {
     static const RamImage zeros =
         make_ram_image(std::vector<u8>(kPhysMemSize, 0));
-    base_ = zeros;
-    mem_ = *zeros;
+    reset(zeros);
 }
 
 void
@@ -49,20 +48,34 @@ GuestRam::reset(const RamImage &base, u32 code_addr,
 {
     if (!base || base->size() != kPhysMemSize)
         panic("GuestRam: base image is not kPhysMemSize bytes");
+    const auto repoint = [&](u32 page) {
+        read_[page] = base->data() + (std::size_t{page} << kPageShift);
+        write_[page] = nullptr;
+    };
     if (base == base_) {
-        for (u32 page : pages_) {
-            const std::size_t off = std::size_t{page} << kPageShift;
-            std::memcpy(mem_.data() + off, base->data() + off, kPageSize);
-        }
+        for (u32 page : pages_)
+            repoint(page);
     } else {
-        std::memcpy(mem_.data(), base->data(), kPhysMemSize);
         base_ = base;
+        for (u32 page = 0; page < kNumPages; ++page)
+            repoint(page);
     }
-    for (u32 page : pages_)
-        written_[page] = false;
     pages_.clear();
     for (std::size_t i = 0; i < code.size(); ++i)
         write8(code_addr + static_cast<u32>(i), code[i]);
+}
+
+u8 *
+GuestRam::copy_page(u32 page)
+{
+    if (pages_.size() == buffers_.size())
+        buffers_.push_back(std::make_unique_for_overwrite<u8[]>(kPageSize));
+    u8 *copy = buffers_[pages_.size()].get();
+    std::memcpy(copy, read_[page], kPageSize);
+    pages_.push_back(page);
+    read_[page] = copy;
+    write_[page] = copy;
+    return copy;
 }
 
 void
@@ -74,8 +87,7 @@ GuestRam::snapshot_into(RamView &out) const
     out.bytes_.resize(out.pages_.size() * kPageSize);
     for (std::size_t i = 0; i < out.pages_.size(); ++i) {
         std::memcpy(out.bytes_.data() + i * kPageSize,
-                    mem_.data() + (std::size_t{out.pages_[i]} << kPageShift),
-                    kPageSize);
+                    write_[out.pages_[i]], kPageSize);
     }
 }
 

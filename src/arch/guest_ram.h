@@ -1,24 +1,27 @@
 /**
  * @file
- * Guest physical memory as a shared base image plus the pages a run
- * wrote.
+ * Guest physical memory as a shared base image plus copies of the
+ * pages a run wrote.
  *
  * The paper's harness resets the guest between tests without rebooting
  * and snapshots physical memory after every test (§5). A test writes a
  * handful of the 1,024 pages — its own code page, its stack, the
- * descriptor accessed bits and the page-table A/D bits — so every
- * backend runs on a private working copy of one immutable base image
- * (RamImage) and records which pages it wrote:
+ * descriptor accessed bits and the page-table A/D bits — so no backend
+ * keeps a working copy of memory. GuestRam is copy-on-write over one
+ * immutable base image (RamImage):
  *
- *  - GuestRam::reset onto the same base copies back only the written
- *    pages; a different base costs one full copy.
+ *  - Each page is read through a page table that points into the base
+ *    until the page is first written; that write copies the page into
+ *    a private buffer, and buffers are recycled across resets.
+ *  - GuestRam::reset re-points pages instead of copying them: only the
+ *    written pages on the same base, all pages on a different one.
  *  - A snapshot (RamView) holds the shared base plus copies of the
  *    written pages.
  *  - diff_snapshots (arch/snapshot.h) compares only the pages either
  *    side wrote when both snapshots share a base.
  *
- * GuestRam exposes its bytes only through read8/write8, so no write
- * can skip the record.
+ * GuestRam exposes its bytes only through read8, read32 and write8,
+ * so no write can reach the shared base.
  */
 #ifndef POKEEMU_ARCH_GUEST_RAM_H
 #define POKEEMU_ARCH_GUEST_RAM_H
@@ -88,6 +91,10 @@ class GuestRam
   public:
     GuestRam(); ///< All zero.
 
+    // The page tables point into this object's own buffers.
+    GuestRam(const GuestRam &) = delete;
+    GuestRam &operator=(const GuestRam &) = delete;
+
     /**
      * Make memory equal to @p base (kPhysMemSize bytes), then write
      * @p code at @p code_addr (recorded like any guest write).
@@ -98,18 +105,37 @@ class GuestRam
     /// @name Byte access. Addresses wrap modulo kPhysMemSize, the
     /// wrap rule every backend shares.
     /// @{
-    u8 read8(u32 phys) const { return mem_[phys & (kPhysMemSize - 1)]; }
+    u8
+    read8(u32 phys) const
+    {
+        phys &= kPhysMemSize - 1;
+        return read_[phys >> kPageShift][phys & (kPageSize - 1)];
+    }
+
+    /** Four bytes at @p phys, little-endian, with one page lookup when
+     *  they share a page (page-table walks read these). */
+    u32
+    read32(u32 phys) const
+    {
+        phys &= kPhysMemSize - 1;
+        const u32 off = phys & (kPageSize - 1);
+        if (off > kPageSize - 4) {
+            return u32{read8(phys)} | u32{read8(phys + 1)} << 8 |
+                   u32{read8(phys + 2)} << 16 | u32{read8(phys + 3)} << 24;
+        }
+        const u8 *p = read_[phys >> kPageShift] + off;
+        return u32{p[0]} | u32{p[1]} << 8 | u32{p[2]} << 16 |
+               u32{p[3]} << 24;
+    }
 
     void
     write8(u32 phys, u8 value)
     {
         phys &= kPhysMemSize - 1;
-        const u32 page = phys >> kPageShift;
-        if (!written_[page]) {
-            written_[page] = true;
-            pages_.push_back(page);
-        }
-        mem_[phys] = value;
+        u8 *page = write_[phys >> kPageShift];
+        if (page == nullptr)
+            page = copy_page(phys >> kPageShift);
+        page[phys & (kPageSize - 1)] = value;
     }
     /// @}
 
@@ -118,10 +144,18 @@ class GuestRam
     void snapshot_into(RamView &out) const;
 
   private:
+    /** First write to @p page: give it a private copy of its bytes. */
+    u8 *copy_page(u32 page);
+
     RamImage base_;
-    std::vector<u8> mem_;                   ///< Working copy.
-    std::array<bool, kNumPages> written_{}; ///< Per page.
-    std::vector<u32> pages_;                ///< Written, in write order.
+    /** Per page: its bytes, in the base or in its private copy. */
+    std::array<const u8 *, kNumPages> read_{};
+    /** Per page: its private copy, null until the page is written. */
+    std::array<u8 *, kNumPages> write_{};
+    std::vector<u32> pages_; ///< Written, in write order.
+    /** Page buffers: pages_[i] is held in buffers_[i]; the rest are
+     *  spares kept from earlier runs. */
+    std::vector<std::unique_ptr<u8[]>> buffers_;
 };
 
 } // namespace pokeemu::arch

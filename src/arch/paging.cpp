@@ -4,15 +4,6 @@ namespace pokeemu::arch {
 
 namespace {
 
-u32
-read32_phys(const GuestRam &ram, u32 phys)
-{
-    return static_cast<u32>(ram.read8(phys)) |
-           (static_cast<u32>(ram.read8(phys + 1)) << 8) |
-           (static_cast<u32>(ram.read8(phys + 2)) << 16) |
-           (static_cast<u32>(ram.read8(phys + 3)) << 24);
-}
-
 void
 write32_phys(GuestRam &ram, u32 phys, u32 v)
 {
@@ -32,7 +23,7 @@ translate_linear(GuestRam &ram, u32 cr3, u32 linear, AccessIntent intent,
 
     const u32 pde_addr =
         (cr3 & kPteFrameMask) + (((linear >> 22) & 0x3ff) << 2);
-    const u32 pde = read32_phys(ram, pde_addr);
+    const u32 pde = ram.read32(pde_addr);
     if (!(pde & kPtePresent)) {
         result.pf_error = err_base;
         return result;
@@ -40,7 +31,7 @@ translate_linear(GuestRam &ram, u32 cr3, u32 linear, AccessIntent intent,
 
     const u32 pte_addr =
         (pde & kPteFrameMask) + (((linear >> 12) & 0x3ff) << 2);
-    const u32 pte = read32_phys(ram, pte_addr);
+    const u32 pte = ram.read32(pte_addr);
     if (!(pte & kPtePresent)) {
         result.pf_error = err_base;
         return result;

@@ -1,6 +1,10 @@
 #include "explore/state_spec.h"
 
+#include <algorithm>
+#include <array>
 #include <sstream>
+
+#include "testgen/baseline.h"
 
 namespace pokeemu::explore {
 
@@ -30,9 +34,9 @@ hex_name(const char *prefix, u32 value)
 } // namespace
 
 StateSpec::StateSpec(const arch::CpuState &baseline_cpu,
-                     const std::vector<u8> &baseline_ram,
                      const symexec::Summary *summary)
-    : baseline_cpu_(baseline_cpu), baseline_ram_(baseline_ram),
+    : baseline_cpu_(baseline_cpu),
+      baseline_ram_(testgen::baseline_ram_after_init()),
       baseline_image_(layout::kCpuStateSize, 0), summary_(summary)
 {
     arch::pack_cpu_state(baseline_cpu_, baseline_image_.data());
@@ -134,18 +138,43 @@ struct CacheExprs
     ExprRef base, limit, access, db, fault_class;
 };
 
+/**
+ * The summary's outputs over the eight descriptor-byte variables of GDT
+ * entry @p gdt_index in @p pool.
+ *
+ * A unit makes 14 such calls for two GDT entries: preconditions and
+ * initial_fn, for the explorer's pool and again for the analysis pool,
+ * whose variables come out the same because both pools are asked in
+ * the same order. Substitution returns interned nodes, so each thread
+ * keeps its results keyed by the summary's output nodes and the byte
+ * nodes. Interning is per thread, and so is the cache; an entry holds
+ * its key's nodes, so no key pointer can be freed and reused.
+ */
 CacheExprs
 instantiate_summary(const symexec::Summary &summary,
-                    symexec::VarPool &pool, u32 gdt_base,
-                    unsigned gdt_index)
+                    symexec::VarPool &pool, unsigned gdt_index)
 {
-    ExprRef bytes[8];
+    struct Entry
+    {
+        std::array<ExprRef, 5> outputs;
+        std::array<ExprRef, 8> bytes;
+        CacheExprs exprs;
+    };
+    thread_local std::vector<Entry> cache;
+
+    Entry entry;
+    std::copy_n(summary.outputs.begin(), entry.outputs.size(),
+                entry.outputs.begin());
     for (unsigned i = 0; i < 8; ++i) {
-        bytes[i] = pool.get("gdt" + std::to_string(gdt_index) + "_b" +
-                                std::to_string(i),
-                            8);
+        entry.bytes[i] = pool.get("gdt" + std::to_string(gdt_index) +
+                                      "_b" + std::to_string(i),
+                                  8);
     }
-    (void)gdt_base;
+    for (const Entry &cached : cache) {
+        if (cached.outputs == entry.outputs && cached.bytes == entry.bytes)
+            return cached.exprs;
+    }
+
     auto instantiate = [&](const ExprRef &tmpl) {
         return ir::substitute(
             tmpl, [&](const ir::Expr &leaf) -> ExprRef {
@@ -153,17 +182,17 @@ instantiate_summary(const symexec::Summary &summary,
                     return nullptr;
                 const std::string &n = leaf.name();
                 if (n.rfind("desc_byte_", 0) == 0)
-                    return bytes[n[10] - '0'];
+                    return entry.bytes[n[10] - '0'];
                 return nullptr;
             });
     };
-    CacheExprs c;
-    c.base = instantiate(summary.outputs[0]);
-    c.limit = instantiate(summary.outputs[1]);
-    c.access = instantiate(summary.outputs[2]);
-    c.db = instantiate(summary.outputs[3]);
-    c.fault_class = instantiate(summary.outputs[4]);
-    return c;
+    entry.exprs.base = instantiate(entry.outputs[0]);
+    entry.exprs.limit = instantiate(entry.outputs[1]);
+    entry.exprs.access = instantiate(entry.outputs[2]);
+    entry.exprs.db = instantiate(entry.outputs[3]);
+    entry.exprs.fault_class = instantiate(entry.outputs[4]);
+    cache.push_back(entry);
+    return entry.exprs;
 }
 
 } // namespace
@@ -174,8 +203,8 @@ StateSpec::initial_fn(symexec::VarPool &pool) const
     // Precompute the summary-derived segment-cache bytes.
     auto prepared = std::make_shared<std::map<u32, ExprRef>>();
     for (const auto &[seg, gdt_index] : summarized_segs_) {
-        const CacheExprs c = instantiate_summary(
-            *summary_, pool, baseline_cpu_.gdtr.base, gdt_index);
+        const CacheExprs c =
+            instantiate_summary(*summary_, pool, gdt_index);
         const ExprRef access_loaded =
             E::bor(c.access, E::constant(8, arch::kDescAccessed));
         for (unsigned i = 0; i < 4; ++i) {
@@ -259,8 +288,8 @@ StateSpec::preconditions(symexec::VarPool &pool) const
         if (seen.count(gdt_index))
             continue;
         seen[gdt_index] = true;
-        const CacheExprs c = instantiate_summary(
-            *summary_, pool, baseline_cpu_.gdtr.base, gdt_index);
+        const CacheExprs c =
+            instantiate_summary(*summary_, pool, gdt_index);
         pre.push_back(E::eq(c.fault_class, E::constant(8, 0)));
         // The stack segment additionally needs writable data; the
         // data segments need "not execute-only code" (the reload

@@ -52,13 +52,13 @@ class StateSpec
 {
   public:
     /**
-     * Build the Figure-3 spec over @p baseline (the post-initializer
-     * machine state). @p summary is the descriptor-load summary used
-     * to derive segment caches; may be null to inline nothing (the
-     * caches are then pinned concrete — used by ablations).
+     * Build the Figure-3 spec over @p baseline_cpu and the process-wide
+     * post-initializer memory (testgen::baseline_ram_after_init, read
+     * in place, not copied). @p summary is the descriptor-load summary
+     * used to derive segment caches; may be null to inline nothing
+     * (the caches are then pinned concrete — used by ablations).
      */
     StateSpec(const arch::CpuState &baseline_cpu,
-              const std::vector<u8> &baseline_ram,
               const symexec::Summary *summary);
 
     /**
@@ -106,7 +106,7 @@ class StateSpec
     void add_ram_byte(u32 ram_addr, u8 mask, const std::string &name);
 
     arch::CpuState baseline_cpu_;
-    std::vector<u8> baseline_ram_;
+    const std::vector<u8> &baseline_ram_;
     std::vector<u8> baseline_image_;
     const symexec::Summary *summary_;
     /** Keyed by IR address. */

@@ -115,8 +115,7 @@ Pipeline::Pipeline(PipelineOptions options)
       injector_(options.resilience.faults)
 {
     spec_ = std::make_unique<explore::StateSpec>(
-        testgen::baseline_cpu_state(), testgen::baseline_ram_after_init(),
-        &summary_);
+        testgen::baseline_cpu_state(), &summary_);
     checkpoint_.fingerprint = options_fingerprint(options_);
     const ResilienceOptions &res = options_.resilience;
     if (res.resume && !res.checkpoint_path.empty()) {

@@ -7,6 +7,20 @@
 
 namespace pokeemu::solver {
 
+namespace {
+
+/** The order of a QueryKey: by structural hash first, so the key's
+ *  order (and its bucket) does not depend on where nodes were
+ *  allocated. */
+bool
+key_order(const ir::Expr *x, const ir::Expr *y)
+{
+    return x->hash() != y->hash() ? x->hash() < y->hash()
+                                  : std::less<const ir::Expr *>()(x, y);
+}
+
+} // namespace
+
 std::size_t
 QueryMemo::KeyHash::operator()(const QueryKey &key) const
 {
@@ -30,14 +44,7 @@ QueryMemo::canonical_key(const std::vector<ir::ExprRef> &conditions,
         }
         out.push_back(cond.get());
     }
-    // By hash first, so the key's order (and its bucket) does not
-    // depend on where nodes were allocated.
-    std::sort(out.begin(), out.end(),
-              [](const ir::Expr *x, const ir::Expr *y) {
-                  return x->hash() != y->hash()
-                      ? x->hash() < y->hash()
-                      : std::less<const ir::Expr *>()(x, y);
-              });
+    std::sort(out.begin(), out.end(), key_order);
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return true;
 }
@@ -45,10 +52,12 @@ QueryMemo::canonical_key(const std::vector<ir::ExprRef> &conditions,
 namespace {
 
 /** True when @p model (absent variables read 0) satisfies every
- *  conjunct. Conditions reaching the solver are fully resolved, so a
+ *  conjunct outside @p known, the key of a query the model already
+ *  satisfies. Conditions reaching the solver are fully resolved, so a
  *  Temp leaf means reuse is not applicable, not a bug. */
 bool
 model_satisfies(const std::unordered_map<u32, u64> &model,
+                const QueryKey &known,
                 const std::vector<ir::ExprRef> &conditions)
 {
     bool resolved = true;
@@ -62,6 +71,9 @@ model_satisfies(const std::unordered_map<u32, u64> &model,
         return it == model.end() ? 0 : it->second;
     };
     for (const ir::ExprRef &cond : conditions) {
+        if (std::binary_search(known.begin(), known.end(), cond.get(),
+                               key_order))
+            continue;
         if (ir::eval_expr(cond, &read) == 0 || !resolved)
             return false;
     }
@@ -85,12 +97,12 @@ QueryMemo::find(const QueryKey &key,
     // prefix is the likeliest to satisfy its own extension.
     const std::size_t scan = std::min(models_.size(), kMaxModelScan);
     for (std::size_t i = 0; i < scan; ++i) {
-        const MemoEntry *cached = models_[models_.size() - 1 - i];
-        if (!model_satisfies(cached->model, conditions))
+        const auto &[donor_key, donor] = *models_[models_.size() - 1 - i];
+        if (!model_satisfies(donor.model, donor_key, conditions))
             continue;
         MemoEntry entry;
         entry.sat = true;
-        entry.model = cached->model;
+        entry.model = donor.model;
         // Zero-fill the query's variables the donor never constrained:
         // model_satisfies read them as 0, so the served model must
         // pin them to 0 to stay a witness.
@@ -115,7 +127,7 @@ QueryMemo::insert(const QueryKey &key, MemoEntry entry)
 {
     const auto [it, inserted] = entries_.emplace(key, std::move(entry));
     if (inserted && it->second.sat)
-        models_.push_back(&it->second);
+        models_.push_back(&*it);
 }
 
 void

@@ -20,7 +20,8 @@
  *     new conjunction; any assignment that satisfies every conjunct
  *     witnesses Sat without touching the SAT solver. This is how a
  *     deeper query (ancestor prefix plus a few new conjuncts) reuses
- *     the ancestor's model.
+ *     the ancestor's model, and why only the conjuncts outside the
+ *     donor's own key are evaluated: its model satisfies the rest.
  *
  * Scope and determinism: one QueryMemo belongs to one worker (no
  * locking), and entries are cleared at each unit-of-work boundary
@@ -121,10 +122,13 @@ class QueryMemo
      *  (a run's own ancestors are always the newest entries). */
     static constexpr std::size_t kMaxModelScan = 16;
 
-    std::unordered_map<QueryKey, MemoEntry, KeyHash> entries_;
-    /** Sat entries in insertion order (node-based map: pointers are
-     *  stable); cleared with entries_ at unit boundaries. */
-    std::vector<const MemoEntry *> models_;
+    using Entries = std::unordered_map<QueryKey, MemoEntry, KeyHash>;
+
+    Entries entries_;
+    /** Sat entries with their keys, in insertion order (node-based
+     *  map: pointers are stable); cleared with entries_ at unit
+     *  boundaries. */
+    std::vector<const Entries::value_type *> models_;
     MemoStats stats_;
 };
 

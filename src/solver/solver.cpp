@@ -83,19 +83,24 @@ Solver::check(const std::vector<ir::ExprRef> &conditions)
             }
         }
 
+        // Each variable is decoded from the SAT model once, for the
+        // model check and the memo entry alike.
+        std::unordered_map<u32, u64> model;
         if (result == CheckResult::Sat)
-            validate_model(conditions);
+            validate_model(conditions, model);
 
         if (cacheable) {
             ++stats_.cache_misses;
             MemoEntry entry;
             entry.sat = result == CheckResult::Sat;
             if (entry.sat) {
+                // Also the variables of Ite arms the check skipped.
                 std::vector<ir::ExprRef> vars;
                 for (const auto &cond : conditions)
                     ir::Expr::collect_vars(cond, vars);
                 for (const ir::ExprRef &v : vars)
-                    entry.model[v->var_id()] = blaster_->model_value(v);
+                    solved_var_value(*v, model);
+                entry.model = std::move(model);
             }
             memo_->insert(key, std::move(entry));
         }
@@ -133,13 +138,26 @@ Solver::solved_var_value(const ir::Expr &leaf) const
     return v;
 }
 
+u64
+Solver::solved_var_value(const ir::Expr &leaf,
+                         std::unordered_map<u32, u64> &decoded) const
+{
+    const auto [it, fresh] = decoded.try_emplace(leaf.var_id());
+    if (fresh)
+        it->second = solved_var_value(leaf);
+    return it->second;
+}
+
 void
-Solver::validate_model(const std::vector<ir::ExprRef> &conditions) const
+Solver::validate_model(const std::vector<ir::ExprRef> &conditions,
+                       std::unordered_map<u32, u64> &decoded) const
 {
     // Evaluate the IR itself over the model's variable values, so a
     // wrong circuit shows here too, not only a wrong SAT model.
     const std::function<u64(const ir::Expr &)> lookup =
-        [&](const ir::Expr &leaf) { return solved_var_value(leaf); };
+        [&](const ir::Expr &leaf) {
+        return solved_var_value(leaf, decoded);
+    };
     for (std::size_t i = 0; i < conditions.size(); ++i) {
         if (ir::eval_expr(conditions[i], &lookup) != 1) {
             throw support::FaultError(

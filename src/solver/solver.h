@@ -111,8 +111,14 @@ class Solver
     /** Value of the Var @p leaf in the last SAT model (0 when the
      *  variable was never bit-blasted). */
     u64 solved_var_value(const ir::Expr &leaf) const;
-    /** Throw unless the last SAT model satisfies every condition. */
-    void validate_model(const std::vector<ir::ExprRef> &conditions) const;
+    /** The same, decoded into @p decoded (var id -> value) on first
+     *  use and read from it after. */
+    u64 solved_var_value(const ir::Expr &leaf,
+                         std::unordered_map<u32, u64> &decoded) const;
+    /** Throw unless the last SAT model satisfies every condition;
+     *  each variable read is decoded into @p decoded once. */
+    void validate_model(const std::vector<ir::ExprRef> &conditions,
+                        std::unordered_map<u32, u64> &decoded) const;
 
     std::unique_ptr<SatSolver> sat_;
     std::unique_ptr<BitBlaster> blaster_;

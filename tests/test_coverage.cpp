@@ -372,9 +372,7 @@ TEST(ScheduleDeterminism, UnlimitedCapSamePathSetOnRealInstruction)
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
     const u8 bytes[] = {0xd3, 0xe0, 0, 0, 0, 0};
     arch::DecodedInsn insn;
     ASSERT_EQ(arch::decode(bytes, sizeof bytes, insn),

@@ -558,9 +558,7 @@ TEST(PruneSoundness, FullTableOffAndOnExploreIdenticalPaths)
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
     const auto off = explore_table(PruneMode::Off, spec, summary);
     const auto on = explore_table(PruneMode::On, spec, summary);
     ASSERT_EQ(off.size(), on.size());

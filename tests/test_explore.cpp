@@ -10,10 +10,12 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "explore/insn_explorer.h"
 #include "hifi/hifi_emulator.h"
 #include "ir/eval.h"
+#include "ir/printer.h"
 #include "support/rng.h"
 #include "explore/state_explorer.h"
 #include "testgen/baseline.h"
@@ -40,8 +42,7 @@ struct SpecEnv
 
     SpecEnv()
         : summary(hifi::summarize_descriptor_load(summary_pool)),
-          spec(testgen::baseline_cpu_state(),
-               testgen::baseline_ram_after_init(), &summary)
+          spec(testgen::baseline_cpu_state(), &summary)
     {
     }
 };
@@ -155,6 +156,34 @@ TEST(StateSpec, SegmentCachesDeriveFromGdtBytes)
     for (const auto &v : vars)
         mentions_gdt10 |= v->name().rfind("gdt10_", 0) == 0;
     EXPECT_TRUE(mentions_gdt10);
+}
+
+// The summary is instantiated once per thread: fresh pools on one
+// thread share its nodes, and another thread interns its own.
+TEST(StateSpec, SummaryInstancesArePerThread)
+{
+    symexec::VarPool a, b;
+    const auto pre_a = env().spec.preconditions(a);
+    const auto pre_b = env().spec.preconditions(b);
+    ASSERT_FALSE(pre_a.empty());
+    ASSERT_EQ(pre_a.size(), pre_b.size());
+    for (std::size_t i = 0; i < pre_a.size(); ++i)
+        EXPECT_EQ(pre_a[i].get(), pre_b[i].get()) << "precondition " << i;
+
+    std::vector<ir::ExprRef> pre_other;
+    std::vector<std::string> text_other;
+    std::thread([&] {
+        symexec::VarPool pool;
+        pre_other = env().spec.preconditions(pool);
+        for (const ir::ExprRef &cond : pre_other)
+            text_other.push_back(ir::to_string(cond));
+    }).join();
+    ASSERT_EQ(pre_other.size(), pre_a.size());
+    for (std::size_t i = 0; i < pre_a.size(); ++i) {
+        EXPECT_NE(pre_other[i].get(), pre_a[i].get()) << "precondition "
+                                                      << i;
+        EXPECT_EQ(text_other[i], ir::to_string(pre_a[i]));
+    }
 }
 
 TEST(StateSpec, BaselineAssignmentSatisfiesPreconditions)

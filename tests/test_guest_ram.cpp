@@ -13,6 +13,7 @@
 #include "arch/snapshot.h"
 #include "harness/runner.h"
 #include "pokeemu/pipeline.h"
+#include "support/rng.h"
 #include "testgen/baseline.h"
 
 namespace pokeemu {
@@ -207,6 +208,98 @@ TEST(GuestRam, ResetOntoAnotherImageAndBackRestoresTheTemplate)
             break;
         }
     }
+}
+
+// Random writes, reads (read8 and read32), resets and snapshots against
+// a plain 4 MiB vector that each reset fills from an untouched copy of
+// the base, so a write that reached a shared base shows at the next
+// read of it.
+TEST(GuestRam, MatchesAWholeImageModel)
+{
+    Rng rng(25);
+    std::vector<u8> copies[2];
+    arch::RamImage bases[2];
+    for (int i = 0; i < 2; ++i) {
+        copies[i].resize(arch::kPhysMemSize);
+        for (u8 &byte : copies[i])
+            byte = static_cast<u8>(rng.next());
+        bases[i] = arch::make_ram_image(copies[i]);
+    }
+
+    arch::GuestRam ram;
+    std::vector<u8> model(arch::kPhysMemSize, 0);
+    const auto at = [&](u32 addr) -> u8 & {
+        return model[addr & (arch::kPhysMemSize - 1)];
+    };
+    const auto model32 = [&](u32 addr) {
+        return u32{at(addr)} | u32{at(addr + 1)} << 8 |
+               u32{at(addr + 2)} << 16 | u32{at(addr + 3)} << 24;
+    };
+    // Most accesses land on a few hot pages, so pages are written again
+    // after a reset; the rest anywhere, some past the end (they wrap).
+    const auto address = [&]() -> u32 {
+        const u32 offset = static_cast<u32>(rng.below(arch::kPageSize));
+        if (rng.below(4) != 0)
+            return static_cast<u32>(rng.below(6)) * 0x15000 + offset;
+        return static_cast<u32>(rng.below(u64{2} * arch::kPhysMemSize));
+    };
+    std::size_t on = 0;
+    arch::RamView view;
+    u64 reads = 0, resets = 0, snapshots = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const u64 op = rng.below(100);
+        if (op < 55) {
+            const u32 addr = address();
+            const u8 value = static_cast<u8>(rng.next());
+            ram.write8(addr, value);
+            at(addr) = value;
+        } else if (op < 97) {
+            u32 addr = address();
+            if (rng.flip()) {
+                ASSERT_EQ(ram.read8(addr), at(addr))
+                    << "step " << step << " addr " << std::hex << addr;
+            } else {
+                // Some straddle a page end.
+                if (rng.flip())
+                    addr = (addr | (arch::kPageSize - 1)) -
+                           static_cast<u32>(rng.below(3));
+                ASSERT_EQ(ram.read32(addr), model32(addr))
+                    << "step " << step << " addr " << std::hex << addr;
+            }
+            ++reads;
+        } else if (op < 99) {
+            // The same base, the other one, and back.
+            if (rng.flip())
+                on ^= 1;
+            std::vector<u8> code(rng.below(40));
+            for (u8 &byte : code)
+                byte = static_cast<u8>(rng.next());
+            const u32 code_addr = address();
+            ram.reset(bases[on], code_addr, code);
+            model = copies[on];
+            for (std::size_t i = 0; i < code.size(); ++i)
+                at(code_addr + static_cast<u32>(i)) = code[i];
+            ++resets;
+        } else {
+            ram.snapshot_into(view);
+            ASSERT_TRUE(std::is_sorted(view.pages().begin(),
+                                       view.pages().end()));
+            ASSERT_TRUE(view.to_bytes() == model) << "step " << step;
+            ++snapshots;
+        }
+    }
+    EXPECT_GT(reads, 1000u);
+    EXPECT_GT(resets, 100u);
+    EXPECT_GT(snapshots, 20u);
+    // A read32 that wraps at the end of memory.
+    EXPECT_EQ(ram.read32(arch::kPhysMemSize - 2),
+              model32(arch::kPhysMemSize - 2));
+    for (int i = 0; i < 2; ++i)
+        EXPECT_TRUE(*bases[i] == copies[i]) << "base " << i;
+    // The all-zero image behind a fresh GuestRam is shared too.
+    arch::GuestRam fresh;
+    fresh.snapshot_into(view);
+    EXPECT_TRUE(view.to_bytes() == std::vector<u8>(arch::kPhysMemSize, 0));
 }
 
 // A counter gate on the mechanism: a change that marks pages written

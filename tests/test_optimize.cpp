@@ -322,9 +322,7 @@ TEST(Equiv, ProvesRealOptimizationEquivalent)
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
 
     hifi::SemanticsOptions sem_options;
     sem_options.descriptor_summary = &summary;

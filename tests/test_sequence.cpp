@@ -38,8 +38,7 @@ struct Env
 
     Env()
         : summary(hifi::summarize_descriptor_load(summary_pool)),
-          spec(testgen::baseline_cpu_state(),
-               testgen::baseline_ram_after_init(), &summary)
+          spec(testgen::baseline_cpu_state(), &summary)
     {
     }
 };

@@ -36,8 +36,7 @@ struct Env
 
     Env()
         : summary(hifi::summarize_descriptor_load(summary_pool)),
-          spec(baseline_cpu_state(), baseline_ram_after_init(),
-               &summary)
+          spec(baseline_cpu_state(), &summary)
     {
     }
 };

@@ -1,68 +1,22 @@
 /**
  * @file
- * Allocation gate for the expression walkers: replaces the global
- * operator new with a counting one and requires that, once warmed up,
+ * Allocation gate for the expression walkers: with the counting
+ * operator new of alloc_counter.h, requires that, once warmed up,
  *  - ir::eval_expr allocates nothing,
  *  - ir::Expr::collect_vars into a reserved vector allocates nothing,
  *  - ir::substitute whose every node is already interned allocates
  *    nothing, and
  *  - ir::run_concrete allocates the same for 10 and 1,000 loop
  *    iterations, i.e. nothing per statement.
- * A counter, not a timer: the result does not depend on the host. The
- * sanitizers replace the allocator, so it is built without them only.
  * Exit status 0 iff every check holds.
  */
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <new>
 
+#include "alloc_counter.h"
 #include "ir/builder.h"
 #include "ir/eval.h"
-
-namespace {
-
-long allocations = 0;
-
-void *
-counted_alloc(std::size_t n)
-{
-    ++allocations;
-    return std::malloc(n ? n : 1);
-}
-
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    if (void *p = counted_alloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-void *
-operator new(std::size_t n, const std::nothrow_t &) noexcept
-{
-    return counted_alloc(n);
-}
-
-void *
-operator new[](std::size_t n, const std::nothrow_t &) noexcept
-{
-    return counted_alloc(n);
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace pokeemu::ir {
 namespace {
@@ -110,10 +64,10 @@ template <typename Fn>
 long
 count(int reps, Fn &&fn)
 {
-    const long before = allocations;
+    const long before = test::alloc_count().calls;
     for (int i = 0; i < reps; ++i)
         fn();
-    return allocations - before;
+    return test::alloc_count().calls - before;
 }
 
 /** A shared DAG over two Vars and a Temp: a doubling chain, widened,

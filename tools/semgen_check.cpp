@@ -212,9 +212,7 @@ main(int argc, char **argv)
     symexec::VarPool summary_pool;
     const symexec::Summary summary =
         hifi::summarize_descriptor_load(summary_pool);
-    const explore::StateSpec spec(testgen::baseline_cpu_state(),
-                                  testgen::baseline_ram_after_init(),
-                                  &summary);
+    const explore::StateSpec spec(testgen::baseline_cpu_state(), &summary);
 
     u64 units_checked = 0;
     u64 runs = 0;
