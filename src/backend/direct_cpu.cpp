@@ -1,6 +1,7 @@
 #include "backend/direct_cpu.h"
 
 #include "arch/descriptors.h"
+#include "arch/fetch.h"
 #include "arch/paging.h"
 #include "timing/cost_model.h"
 
@@ -18,35 +19,18 @@ hardware_behavior()
     return Behavior{};
 }
 
-Behavior
-lofi_behavior()
-{
-    Behavior b;
-    b.enforce_segment_checks = false;
-    b.leave_atomic = false;
-    b.cmpxchg_checks_write_first = false;
-    b.iret_pop_inner_first = false;
-    b.far_fetch_offset_first = true; // Same as hardware (Bochs is the
-                                     // odd one out for far loads).
-    b.rdmsr_gp_on_invalid = false;
-    b.set_descriptor_accessed = false;
-    b.accept_alias_encodings = false;
-    b.undef_flags = UndefFlagStyle::LoFi;
-    return b;
-}
-
 namespace {
 
 [[noreturn]] void
 raise(u8 vector, u32 error, bool has_error)
 {
-    throw GuestFault{vector, error, has_error, false, 0};
+    throw arch::GuestFault{vector, error, has_error, false, 0};
 }
 
 [[noreturn]] void
 raise_pf(u32 error, u32 cr2)
 {
-    throw GuestFault{arch::kExcPf, error, true, true, cr2};
+    throw arch::GuestFault{arch::kExcPf, error, true, true, cr2};
 }
 
 bool
@@ -65,10 +49,7 @@ DirectCpu::reset(const CpuState &cpu, const arch::RamImage &base,
 {
     cpu_ = cpu;
     ram_.reset(base, code_addr, code);
-    tcache_.clear();
     insn_count_ = 0;
-    cache_hits_ = 0;
-    cache_misses_ = 0;
     cycles_ = 0;
 }
 
@@ -484,7 +465,7 @@ DirectCpu::load_segment(Work &w, unsigned seg, u16 selector)
 }
 
 // ---------------------------------------------------------------------
-// Step: fetch, decode (with translation cache), execute.
+// Step: fetch and decode (arch/fetch.h), execute.
 // ---------------------------------------------------------------------
 
 bool
@@ -502,72 +483,14 @@ DirectCpu::step()
     bool charge_memform = false;
     Work w{cpu_};
     try {
-        // Fetch up to 15 bytes through CS + MMU.
-        u8 buf[arch::kMaxInsnLength] = {};
-        unsigned avail = 0;
-        GuestFault pending{};
-        bool have_pending = false;
-        const arch::SegmentReg &cs = w.c.seg[arch::kCs];
-        for (unsigned i = 0; i < arch::kMaxInsnLength; ++i) {
-            const u32 off = w.c.eip + i;
-            if (behavior_.enforce_segment_checks && off > cs.limit) {
-                pending = {arch::kExcGp, 0, true, false, 0};
-                have_pending = true;
-                break;
-            }
-            const u32 lin = cs.base + off;
-            u32 phys = lin;
-            if (w.c.cr0 & arch::kCr0Pg) {
-                auto tr = arch::translate_linear(
-                    ram_, w.c.cr3, lin, {false, false},
-                    (w.c.cr0 & arch::kCr0Wp) != 0,
-                    behavior_.set_pte_accessed_dirty);
-                if (!tr.ok) {
-                    pending = {arch::kExcPf, tr.pf_error, true, true,
-                               lin};
-                    have_pending = true;
-                    break;
-                }
-                phys = tr.phys;
-            }
-            buf[i] = ram_.read8(phys);
-            ++avail;
-        }
-        if (avail == 0)
-            throw pending;
-
-        // Decode with the translation cache (the "JIT" model): keyed
-        // by the linear address of the first byte (CS base + EIP),
-        // revalidated against the fetched bytes.
-        const u32 key = w.c.seg[arch::kCs].base + w.c.eip;
+        // The seeded segment-check and A/D-bit bugs act on the fetch
+        // too.
         DecodedInsn insn;
-        auto it = tcache_.find(key);
-        bool cached = false;
-        if (it != tcache_.end() &&
-            it->second.bytes.size() <= avail &&
-            std::equal(it->second.bytes.begin(),
-                       it->second.bytes.end(), buf)) {
-            insn = it->second.insn;
-            ++cache_hits_;
-            cached = true;
+        if (const auto fault = arch::fetch_insn(
+                ram_, w.c, behavior_.enforce_segment_checks,
+                behavior_.set_pte_accessed_dirty, insn)) {
+            throw *fault;
         }
-        if (!cached) {
-            ++cache_misses_;
-            const arch::DecodeStatus ds =
-                arch::decode(buf, avail, insn);
-            if (ds == arch::DecodeStatus::TooLong) {
-                if (have_pending && avail < arch::kMaxInsnLength)
-                    throw pending;
-                raise(arch::kExcGp, 0, true);
-            }
-            if (ds == arch::DecodeStatus::Invalid)
-                raise(arch::kExcUd, 0, false);
-            tcache_[key] = {std::vector<u8>(insn.bytes,
-                                            insn.bytes + insn.length),
-                            insn};
-        }
-        if (insn.length > avail && have_pending)
-            throw pending;
         if (!behavior_.accept_alias_encodings && insn.desc->is_alias)
             raise(arch::kExcUd, 0, false);
 
@@ -578,7 +501,7 @@ DirectCpu::step()
         ++insn_count_;
         charge(charge_row, charge_memform, false);
         return true;
-    } catch (const GuestFault &f) {
+    } catch (const arch::GuestFault &f) {
         // Commit the working state as mutated so far (string progress
         // and the seeded non-atomicity bugs rely on this), then record
         // the fault and halt (abstract halting handler, paper §4.1).

@@ -13,16 +13,18 @@
  * divergence point*, while the Hi-Fi emulator remains a genuinely
  * independent implementation for cross-validation.
  *
+ * Instruction fetch and decode are arch::fetch_insn, shared with the
+ * Hi-Fi emulator; the segment-check and A/D-bit knobs reach the fetch
+ * too. There is no translation cache: every step fetches and decodes.
+ *
  * Atomicity discipline: each instruction executes against a working
- * copy of the CPU state; guest faults are thrown as GuestFault after
- * all checks and before RAM writes (string instructions commit per
- * iteration, which is architectural). The seeded non-atomicity bugs
- * deliberately mutate the working copy before a faultable access.
+ * copy of the CPU state; guest faults are thrown as arch::GuestFault
+ * after all checks and before RAM writes (string instructions commit
+ * per iteration, which is architectural). The seeded non-atomicity
+ * bugs deliberately mutate the working copy before a faultable access.
  */
 #ifndef POKEEMU_BACKEND_DIRECT_CPU_H
 #define POKEEMU_BACKEND_DIRECT_CPU_H
-
-#include <unordered_map>
 
 #include "arch/decoder.h"
 #include "arch/snapshot.h"
@@ -60,9 +62,9 @@ struct Behavior
     UndefFlagStyle undef_flags = UndefFlagStyle::Hardware;
 
     /// @name Injectable defects (defects::catalogue()). All default to
-    /// the faithful behaviour; both hardware_behavior() and
-    /// lofi_behavior() leave them off, so only mutation-derived
-    /// variant backends ever see them.
+    /// the faithful behaviour; both hardware_behavior() and the stock
+    /// Lo-Fi configuration (lofi::behavior_from_bugs) leave them off,
+    /// so only mutation-derived variant backends ever see them.
     /// @{
     /** Compute 8-bit ALU flags at 32-bit width (wrong CF/OF/SF/ZF on
      *  byte adds, subs and logic ops). */
@@ -101,21 +103,8 @@ struct Behavior
 /** The hardware model's configuration (all defaults). */
 Behavior hardware_behavior();
 
-/** The Lo-Fi emulator's configuration: every §6.2 bug seeded. */
-Behavior lofi_behavior();
-
 /** Why execution stopped (mirrors hifi::StopReason). */
 enum class StopReason : u8 { Halted, Exception, InsnLimit };
-
-/** A guest fault, thrown during instruction execution. */
-struct GuestFault
-{
-    u8 vector;
-    u32 error_code;
-    bool has_error_code;
-    bool set_cr2;
-    u32 cr2;
-};
 
 /** See file comment. */
 class DirectCpu
@@ -157,12 +146,6 @@ class DirectCpu
     /// @{
     void set_cycle_accounting(bool on) { behavior_.cycle_accounting = on; }
     u64 cycle_count() const { return cycles_; }
-    /// @}
-
-    /// @name Translation-cache statistics (the Lo-Fi "JIT" model).
-    /// @{
-    u64 cache_hits() const { return cache_hits_; }
-    u64 cache_misses() const { return cache_misses_; }
     /// @}
 
   private:
@@ -231,19 +214,7 @@ class DirectCpu
     Behavior behavior_;
     arch::CpuState cpu_;
     arch::GuestRam ram_;
-    /** Translation cache: linear address of the first byte (CS base +
-     *  EIP) -> decoded instruction + the bytes it was decoded from
-     *  (re-validated on hit, so self-modifying code and remapped pages
-     *  cannot go stale). */
-    struct CacheEntry
-    {
-        std::vector<u8> bytes;
-        arch::DecodedInsn insn;
-    };
-    std::unordered_map<u32, CacheEntry> tcache_;
     u64 insn_count_ = 0;
-    u64 cache_hits_ = 0;
-    u64 cache_misses_ = 0;
     u64 cycles_ = 0;
 };
 

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "arch/descriptors.h"
+#include "arch/fetch.h"
 
 namespace pokeemu::backend {
 
@@ -22,7 +23,7 @@ namespace {
 [[noreturn]] void
 raise(u8 vector, u32 error, bool has_error)
 {
-    throw GuestFault{vector, error, has_error, false, 0};
+    throw arch::GuestFault{vector, error, has_error, false, 0};
 }
 
 u64

@@ -28,6 +28,7 @@
 #include <map>
 #include <optional>
 
+#include "arch/guest_ram.h"
 #include "arch/layout.h"
 #include "arch/state.h"
 #include "symexec/explorer.h"
@@ -91,7 +92,7 @@ class StateSpec
     std::string to_string() const;
 
     const arch::CpuState &baseline_cpu() const { return baseline_cpu_; }
-    const std::vector<u8> &baseline_ram() const { return baseline_ram_; }
+    const arch::RamView &baseline_ram() const { return baseline_ram_; }
 
   private:
     struct ByteSpec
@@ -106,7 +107,7 @@ class StateSpec
     void add_ram_byte(u32 ram_addr, u8 mask, const std::string &name);
 
     arch::CpuState baseline_cpu_;
-    const std::vector<u8> &baseline_ram_;
+    const arch::RamView &baseline_ram_;
     std::vector<u8> baseline_image_;
     const symexec::Summary *summary_;
     /** Keyed by IR address. */

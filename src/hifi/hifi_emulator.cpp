@@ -1,6 +1,6 @@
 #include "hifi/hifi_emulator.h"
 
-#include "arch/paging.h"
+#include "arch/fetch.h"
 
 namespace pokeemu::hifi {
 
@@ -146,58 +146,15 @@ HiFiEmulator::step()
     if (c.halted)
         return false;
 
-    // --- Instruction fetch through CS and the MMU (harness level, as
-    // in the paper where exploration starts after fetch+decode). ---
-    u8 buf[arch::kMaxInsnLength] = {};
-    unsigned avail = 0;
-    bool fetch_fault = false;
-    u8 fetch_vector = 0;
-    u32 fetch_error = 0;
-    u32 fetch_cr2 = 0;
-    const arch::SegmentReg &cs = c.seg[arch::kCs];
-    const bool paging = (c.cr0 & arch::kCr0Pg) != 0;
-    const bool wp = (c.cr0 & arch::kCr0Wp) != 0;
-    for (unsigned i = 0; i < arch::kMaxInsnLength; ++i) {
-        const u32 off = c.eip + i;
-        if (off > cs.limit) {
-            fetch_fault = true;
-            fetch_vector = arch::kExcGp;
-            fetch_error = 0;
-            break;
-        }
-        const u32 lin = cs.base + off;
-        u32 phys = lin;
-        if (paging) {
-            auto tr = arch::translate_linear(
-                ram_, c.cr3, lin, {false, false}, wp, true);
-            if (!tr.ok) {
-                fetch_fault = true;
-                fetch_vector = arch::kExcPf;
-                fetch_error = tr.pf_error;
-                fetch_cr2 = lin;
-                break;
-            }
-            phys = tr.phys;
-        }
-        buf[i] = ram_.read8(phys);
-        ++avail;
-    }
-
-    // --- Decode once with the table decoder, which agrees with the
-    // explored IR decoder (hifi/decoder_ir.h) by test. TooLong means
-    // it needed a byte it was not given: the fetch fault when the
-    // fetch stopped short, otherwise #GP past 15 bytes. ---
+    // --- Fetch and decode (arch/fetch.h): harness code, as in the
+    // paper where exploration starts after fetch+decode. The table
+    // decoder agrees with the explored IR decoder (hifi/decoder_ir.h)
+    // by test. ---
     arch::DecodedInsn insn;
-    const arch::DecodeStatus ds = arch::decode(buf, avail, insn);
-    if (ds != arch::DecodeStatus::Ok) {
-        if (ds == arch::DecodeStatus::Invalid) {
-            record_exception(arch::kExcUd, 0, false, 0, false);
-        } else if (fetch_fault) {
-            record_exception(fetch_vector, fetch_error, true, fetch_cr2,
-                             fetch_vector == arch::kExcPf);
-        } else {
-            record_exception(arch::kExcGp, 0, true, 0, false);
-        }
+    if (const auto fault = arch::fetch_insn(ram_, c, true, true, insn)) {
+        record_exception(fault->vector, fault->error_code,
+                         fault->has_error_code, fault->cr2,
+                         fault->set_cr2);
         charge_fault_path();
         return false;
     }
@@ -211,18 +168,15 @@ HiFiEmulator::step()
         !options_.hifi_far_fetch_order ||
         options_.descriptor_summary != nullptr ||
         !run_compiled(insn, result)) {
-        std::vector<u8> key(insn.bytes, insn.bytes + insn.length);
+        const std::string_view key(
+            reinterpret_cast<const char *>(insn.bytes), insn.length);
         auto it = semantics_cache_.find(key);
         if (it == semantics_cache_.end()) {
-            auto prog = std::make_shared<ir::Program>(
-                build_semantics(insn, options_));
             it = semantics_cache_
-                     .emplace(std::move(key),
-                              std::shared_ptr<const ir::Program>(
-                                  std::move(prog)))
+                     .emplace(key, build_semantics(insn, options_))
                      .first;
         }
-        result = ir::run_concrete(*it->second, *this);
+        result = ir::run_concrete(it->second, *this);
     }
     // Out of statement budget (a very long rep): the instruction does
     // not retire and run() reports a timeout.

@@ -9,17 +9,17 @@
  * interpreter"; §5.1 emulator execution with halt/exception
  * interception). Instruction fetch (CS limit check + page walk) is
  * the hand-written harness part, as in the paper where exploration
- * starts after fetch/decode. Stage 1 explores the decoder as an IR
- * program (hifi/decoder_ir.h); replay decodes each fetched
- * instruction once with the table decoder (arch/decoder.h), whose
- * agreement with that program is tested
- * (DecoderIr.AgreesWithTableDecoderOnRandomBytes).
+ * starts after fetch/decode; all three backends share it
+ * (arch/fetch.h). Stage 1 explores the decoder as an IR program
+ * (hifi/decoder_ir.h); replay decodes each fetched instruction once
+ * with the table decoder (arch/decoder.h), whose agreement with that
+ * program is tested (DecoderIr.AgreesWithTableDecoderOnRandomBytes).
  */
 #ifndef POKEEMU_HIFI_HIFI_EMULATOR_H
 #define POKEEMU_HIFI_HIFI_EMULATOR_H
 
 #include <map>
-#include <memory>
+#include <string>
 
 #include "arch/snapshot.h"
 #include "hifi/compiled.h"
@@ -122,8 +122,9 @@ class HiFiEmulator : public ir::ConcreteMemory
     /** Semantics scratch and the compiled handlers' param block. */
     std::array<u8, 0x100> scratch_{};
     arch::GuestRam ram_;
-    std::map<std::vector<u8>, std::shared_ptr<const ir::Program>>
-        semantics_cache_;
+    /** Interpreter fallback: semantics by instruction bytes (at most
+     *  15, held in the key's inline buffer). */
+    std::map<std::string, ir::Program, std::less<>> semantics_cache_;
     u64 insn_count_ = 0;
     u64 cycles_ = 0;
     bool cycle_accounting_ = false;

@@ -1,9 +1,11 @@
 /**
  * @file
- * The Lo-Fi emulator (QEMU analog): a fast dynamic-translation-style
- * executor with a per-address translation cache and a configurable set
- * of seeded fidelity bugs — exactly the §6.2 root causes the paper's
- * evaluation uncovered in QEMU 0.14. Each bug is individually
+ * The Lo-Fi emulator (QEMU analog): the direct executor
+ * (backend/direct_cpu.h) with a configurable set of seeded fidelity
+ * bugs — exactly the §6.2 root causes the paper's evaluation
+ * uncovered in QEMU 0.14. It models QEMU's bugs, not its speed: like
+ * the other backends it fetches and decodes every instruction it runs
+ * (arch/fetch.h), with no translation cache. Each bug is individually
  * toggleable so the pipeline's ability to find, filter, and cluster
  * them can be tested (and so a "fixed" emulator can be validated with
  * the same test suite, as the paper advocates).
@@ -96,8 +98,7 @@ const char *misbehavior_name(Misbehavior m);
 
 /**
  * See file comment. Thin facade over the direct backend configured
- * with the bug knobs; exposes the translation-cache statistics that
- * make this the "JIT-style" backend.
+ * with the bug knobs, plus the containment misbehaviours.
  */
 class LoFiEmulator
 {
@@ -149,8 +150,6 @@ class LoFiEmulator
     }
     const arch::CpuState &cpu() const { return cpu_.cpu(); }
     u64 insn_count() const { return cpu_.insn_count(); }
-    u64 cache_hits() const { return cpu_.cache_hits(); }
-    u64 cache_misses() const { return cpu_.cache_misses(); }
     Misbehavior misbehavior() const { return misbehavior_; }
 
     /// @name Cycle accounting (timing/cost_model.h).

@@ -168,7 +168,7 @@ namespace {
 struct BaselineResult
 {
     arch::CpuState cpu;
-    std::vector<u8> ram;
+    arch::RamView ram;
 };
 
 const BaselineResult &
@@ -184,7 +184,7 @@ baseline_result()
             // Construction-time invariant shared by every unit of
             // work, not attributable to one. lint: allow-panic
             panic("baseline initializer did not halt cleanly");
-        BaselineResult r{hw.cpu(), hw.snapshot().ram.to_bytes()};
+        BaselineResult r{hw.cpu(), hw.snapshot().ram};
         // The state we hand to exploration is the state at the test
         // program's entry: un-halt and rewind EIP onto the test code.
         r.cpu.halted = 0;
@@ -202,7 +202,7 @@ baseline_cpu_state()
     return baseline_result().cpu;
 }
 
-const std::vector<u8> &
+const arch::RamView &
 baseline_ram_after_init()
 {
     return baseline_result().ram;

@@ -63,8 +63,12 @@ arch::CpuState make_reset_state();
  */
 const arch::CpuState &baseline_cpu_state();
 
-/** Physical memory after the baseline initializer has run. */
-const std::vector<u8> &baseline_ram_after_init();
+/**
+ * Physical memory after the baseline initializer has run: the shared
+ * template (baseline_ram_template) plus the pages the initializer
+ * wrote.
+ */
+const arch::RamView &baseline_ram_after_init();
 
 /**
  * Build a full bootable image with @p test_program installed at

@@ -116,7 +116,7 @@ generate_sequence_test_program(
     const explore::StateSpec &spec, const symexec::VarPool &pool)
 {
     const arch::CpuState &base_cpu = spec.baseline_cpu();
-    const std::vector<u8> &base_ram = spec.baseline_ram();
+    const arch::RamView &base_ram = spec.baseline_ram();
 
     // ------------------------------------------------------------
     // Resolve the assignment into byte-level differences.

@@ -70,7 +70,7 @@ test_image(Fn assemble)
     arch::Assembler a(layout::kPhysTestCode);
     assemble(a);
     a.hlt();
-    std::vector<u8> image = testgen::baseline_ram_after_init();
+    std::vector<u8> image = testgen::baseline_ram_after_init().to_bytes();
     std::copy(a.bytes().begin(), a.bytes().end(),
               image.begin() + layout::kPhysTestCode);
     return image;

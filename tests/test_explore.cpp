@@ -294,7 +294,7 @@ TEST(Summary, MatchesInlineSemantics)
                                                             nullptr});
     for (int trial = 0; trial < 40; ++trial) {
         arch::CpuState cpu = testgen::baseline_cpu_state();
-        std::vector<u8> ram = testgen::baseline_ram_after_init();
+        std::vector<u8> ram = testgen::baseline_ram_after_init().to_bytes();
         cpu.gpr[arch::kEax] = 0x18; // Selector: GDT entry 3.
         for (unsigned i = 0; i < 8; ++i)
             ram[arch::layout::kPhysGdt + 8 * 3 + i] =

@@ -25,7 +25,7 @@ class Semantics : public ::testing::Test
 {
   protected:
     CpuState state = testgen::baseline_cpu_state();
-    std::vector<u8> ram = testgen::baseline_ram_after_init();
+    std::vector<u8> ram = testgen::baseline_ram_after_init().to_bytes();
 
     /** Install @p code at the test address and run it on both the
      *  Hi-Fi emulator and the hardware model; assert they agree and

@@ -163,7 +163,7 @@ TEST_P(InstructionSweep, HiFiMatchesHardwareOnRandomStates)
     Rng rng(0x5eed ^ static_cast<u64>(index));
     for (int trial = 0; trial < 3; ++trial) {
         arch::CpuState start = testgen::baseline_cpu_state();
-        std::vector<u8> image = testgen::baseline_ram_after_init();
+        std::vector<u8> image = testgen::baseline_ram_after_init().to_bytes();
         for (unsigned r = 0; r < arch::kNumGprs; ++r) {
             start.gpr[r] = rng.flip()
                 ? static_cast<u32>(rng.next())

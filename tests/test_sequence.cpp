@@ -62,7 +62,7 @@ TEST(Sequence, ComposedProgramRunsConcretely)
     hifi::HiFiEmulator emu;
     arch::CpuState start = testgen::baseline_cpu_state();
     start.gpr[arch::kEax] = 10;
-    emu.reset(start, testgen::baseline_ram_after_init());
+    emu.reset(start, testgen::baseline_ram_after_init().to_bytes());
     const ir::RunResult r = ir::run_concrete(program, emu);
     ASSERT_EQ(r.status, ir::RunStatus::Halted);
     EXPECT_EQ(hifi::halt_base_code(r.halt_code), hifi::kHaltOk);
@@ -84,7 +84,7 @@ TEST(Sequence, FaultTaggedWithInstructionIndex)
     hifi::HiFiEmulator emu;
     arch::CpuState start = testgen::baseline_cpu_state();
     start.gpr[arch::kEbx] = 0x300000;
-    std::vector<u8> ram = testgen::baseline_ram_after_init();
+    std::vector<u8> ram = testgen::baseline_ram_after_init().to_bytes();
     ram[layout::kPhysPageTable + 4 * 0x300] &= ~arch::kPtePresent;
     emu.reset(start, ram);
     const ir::RunResult r = ir::run_concrete(program, emu);
@@ -110,13 +110,13 @@ TEST(Sequence, BranchDivergenceDetected)
     hifi::HiFiEmulator emu;
     arch::CpuState start = testgen::baseline_cpu_state();
     start.eflags |= arch::kFlagZf;
-    emu.reset(start, testgen::baseline_ram_after_init());
+    emu.reset(start, testgen::baseline_ram_after_init().to_bytes());
     ir::RunResult r = ir::run_concrete(program, emu);
     ASSERT_EQ(r.status, ir::RunStatus::Halted);
     EXPECT_EQ(r.halt_code, hifi::kHaltDiverged);
 
     start.eflags &= ~arch::kFlagZf;
-    emu.reset(start, testgen::baseline_ram_after_init());
+    emu.reset(start, testgen::baseline_ram_after_init().to_bytes());
     r = ir::run_concrete(program, emu);
     EXPECT_EQ(hifi::halt_base_code(r.halt_code), hifi::kHaltOk);
 }
